@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race cover serve fuzz-smoke bench-explore bench-serve bench-dse bench-profile bench-trace bench-replay check check-smoke ci
+.PHONY: build vet test race cover serve fuzz-smoke fmt-check perfbench-check check check-smoke ci
 
 build:
 	$(GO) build ./...
@@ -40,50 +40,17 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLowerBound$$' -fuzztime=$(FUZZTIME) ./internal/dse
 	$(GO) test -run='^$$' -fuzz='^FuzzAffineAnalyzer$$' -fuzztime=$(FUZZTIME) ./internal/interp
 
-# Serial-vs-parallel exploration wall time (see docs/MODEL.md
-# "Exploration performance").
-bench-explore:
-	$(GO) test -run='^$$' -bench=BenchmarkExploreParallel -benchtime=3x .
+# Every tracked Go file must be gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Prediction-path benchmarks: coalesced vs uncoalesced concurrent
-# predictions (compare the computes/op metric — the singleflight prep
-# cache turns 32 compile+analyze executions into 1), the cache-hit
-# latency floor, and the cold-start vs warm-restart proof — the stride-6
-# corpus served twice against one artifact directory, with per-request
-# p50/p99, compute counts and the zero-recompute warm restart written to
-# BENCH_serve.json (a CI artifact). See docs/API.md "Coalescing" and
-# docs/SERVE.md "Persistent artifacts".
-bench-serve:
-	$(GO) test -run='^$$' -bench='BenchmarkPredict|BenchmarkServe' -benchtime=1x ./internal/serve
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run='^TestWarmRestartArtifact$$' -count=1 -v ./internal/serve
-
-# Guided search vs exhaustive exploration: per-kernel evaluations, wall
-# time and speedup, written to BENCH_dse.json (a CI artifact). Uses the
-# smoke kernel subset; BENCH_DSE_FLAGS=-bench-all runs all 60 kernels.
-bench-dse:
-	$(GO) run ./cmd/flexcl-dse -bench-json BENCH_dse.json $(BENCH_DSE_FLAGS)
-
-# Static profiler fast path vs the interpreter: per-kernel prep wall
-# time and speedup, written to BENCH_profile.json (a CI artifact). Uses
-# the smoke kernel subset; BENCH_PROFILE_FLAGS=-all runs the full corpus
-# plus the generated families.
-bench-profile:
-	$(GO) run ./cmd/flexcl-profile -json BENCH_profile.json $(BENCH_PROFILE_FLAGS)
-
-# Tracing overhead proof: the predict hot path benchmarked with the
-# tracer on vs off, written to BENCH_trace.json (a CI artifact). The
-# budget is <3% overhead; the artifact records the measured ratio. See
-# docs/OBSERVABILITY.md.
-bench-trace:
-	BENCH_TRACE_JSON=$(CURDIR)/BENCH_trace.json $(GO) test -run='^TestTraceOverheadArtifact$$' -count=1 -v ./internal/serve
-
-# Clustered-serving replay: 1-replica vs 3-replica in-process fleets
-# replay a randomized corpus stream; fleet-wide compute counts and
-# request p50/p99 land in BENCH_replay.json (a CI artifact). The run
-# fails unless every fleet keeps the compile-once property (fleet-wide
-# computes == distinct keys). See docs/SERVE.md "Clustered serving".
-bench-replay:
-	$(GO) run ./cmd/flexcl-replay -out BENCH_replay.json $(BENCH_REPLAY_FLAGS)
+# The benchmark (perfbench/, contract in BENCHMARK.json) is its own Go
+# module, so ./... above skips it: vet it and run its tests — the
+# determinism test, the BENCHMARK.json/program match and a short traced
+# run of every workload with its output checks.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Cross-layer correctness audit (see docs/CHECK.md): model invariants,
 # differential bands vs the simulator, serve consistency. check-smoke is
@@ -98,4 +65,4 @@ check-smoke:
 	$(GO) run ./cmd/tracelint -root .
 	$(GO) run ./cmd/flexcl-check -smoke -timeout 5m
 
-ci: build vet race fuzz-smoke bench-dse bench-profile bench-trace bench-replay check-smoke
+ci: build vet fmt-check race fuzz-smoke perfbench-check check-smoke

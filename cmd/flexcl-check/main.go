@@ -34,14 +34,14 @@ import (
 
 func main() {
 	var (
-		platform  = flag.String("platform", "virtex7", "virtex7 or ku060")
-		families  = flag.String("families", "", "comma-separated check families (invariant,differential,serve,search,profile); empty = all")
-		benchName = flag.String("bench", "", "restrict to one benchmark (with -kernel)")
-		kernel    = flag.String("kernel", "", "restrict to one kernel (with -bench)")
-		smoke     = flag.Bool("smoke", false, "CI smoke mode: deterministic kernel subset, one WG size each")
-		workers   = flag.Int("workers", 0, "kernel-level worker goroutines (0 = 4)")
-		simGroups = flag.Int("sim-groups", 0, "work-groups simulated per differential point (0 = 4)")
-		band      = flag.Float64("band", 0, "differential error band in percent (0 = default)")
+		platform    = flag.String("platform", "virtex7", "virtex7 or ku060")
+		families    = flag.String("families", "", "comma-separated check families (invariant,differential,serve,search,profile); empty = all")
+		benchName   = flag.String("bench", "", "restrict to one benchmark (with -kernel)")
+		kernel      = flag.String("kernel", "", "restrict to one kernel (with -bench)")
+		smoke       = flag.Bool("smoke", false, "CI smoke mode: deterministic kernel subset, one WG size each")
+		workers     = flag.Int("workers", 0, "kernel-level worker goroutines (0 = 4)")
+		simGroups   = flag.Int("sim-groups", 0, "work-groups simulated per differential point (0 = 4)")
+		band        = flag.Float64("band", 0, "differential error band in percent (0 = default)")
 		timeout     = flag.Duration("timeout", 30*time.Minute, "overall deadline")
 		verbose     = flag.Bool("v", false, "per-kernel progress on stderr")
 		artifactDir = flag.String("artifact-dir", "", "persist compile+analyze results to this directory and reuse them across audits (empty = memory only)")

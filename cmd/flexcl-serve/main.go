@@ -62,9 +62,9 @@ func main() {
 		predCache   = flag.Int("pred-cache", 4096, "LRU prediction cache entries (negative disables)")
 		prepCache   = flag.Int("prep-cache", 0, "completed compile+analyze cache entries (0 = 4096, negative unbounded)")
 		artifactDir = flag.String("artifact-dir", "", "persist compile+analyze results to this directory and answer misses from it (warm restarts; empty = memory only)")
-	selfURL     = flag.String("self", "", "this replica's advertised base URL in a clustered fleet (required with -peers)")
-	peersFlag   = flag.String("peers", "", "comma-separated replica base URLs forming the fleet (empty = single node)")
-	peerTO      = flag.Duration("peer-timeout", 15*time.Second, "deadline for one forwarded prep exchange against a peer")
+		selfURL     = flag.String("self", "", "this replica's advertised base URL in a clustered fleet (required with -peers)")
+		peersFlag   = flag.String("peers", "", "comma-separated replica base URLs forming the fleet (empty = single node)")
+		peerTO      = flag.Duration("peer-timeout", 15*time.Second, "deadline for one forwarded prep exchange against a peer")
 		timeout     = flag.Duration("timeout", 10*time.Second, "synchronous request deadline")
 		exploreTO   = flag.Duration("explore-timeout", 5*time.Minute, "per-job exploration deadline")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")

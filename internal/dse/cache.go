@@ -52,11 +52,11 @@ import (
 type PrepCache struct {
 	mu    sync.Mutex
 	m     map[prepKey]*prepEntry
-	ll    *list.List                 // completed entries, front = most recently used
-	idx   map[prepKey]*list.Element  // key → LRU element (completed entries only)
-	cap   int                        // max completed entries; < 0 = unbounded
-	store *artifact.Store            // nil = memory only
-	peer  PeerFetcher                // nil = no cluster tier
+	ll    *list.List                // completed entries, front = most recently used
+	idx   map[prepKey]*list.Element // key → LRU element (completed entries only)
+	cap   int                       // max completed entries; < 0 = unbounded
+	store *artifact.Store           // nil = memory only
+	peer  PeerFetcher               // nil = no cluster tier
 	stats CacheStats
 
 	// persist tracks artifact writes still in flight on fill

@@ -10,8 +10,9 @@ import (
 
 // BenchmarkSearchVsExplore compares guided branch-and-bound search with
 // model-only exhaustive exploration on a shared pre-warmed prep cache,
-// so the delta is pure evaluation work (the quantity `make bench-dse`
-// reports per kernel into BENCH_dse.json via cmd/flexcl-dse).
+// so the delta is pure evaluation work. Run it on demand with
+//
+//	go test -run '^$' -bench BenchmarkSearchVsExplore ./internal/dse
 func BenchmarkSearchVsExplore(b *testing.B) {
 	kernels := []*bench.Kernel{
 		bench.Find("nn", "nn"),

@@ -10,8 +10,10 @@ import (
 
 // BenchmarkProfileStaticVsInterp times both profiler paths on a few
 // representative kernels (a bandwidth-bound one, a compute-heavy one,
-// and a 2-D stencil) at the prep pipeline's group budget, so the static
-// path's speedup is visible in CI history via benchstat.
+// and a 2-D stencil) at the prep pipeline's group budget. Run it on
+// demand with
+//
+//	go test -run '^$' -bench BenchmarkProfileStaticVsInterp ./internal/interp
 func BenchmarkProfileStaticVsInterp(b *testing.B) {
 	const groups = 8
 	for _, id := range []string{"backprop/layer", "gemm/gemm", "hotspot/hotspot"} {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/interp/static"
 	"repro/internal/ir"
@@ -72,16 +71,6 @@ func StaticAnalyzable(f *ir.Func) (bool, string) {
 	return e.plan != nil, e.reason
 }
 
-// statsStatic/statsInterp mirror the obs counters for cheap in-process
-// reads (obs counters are per-name children behind a mutex'd registry).
-var statsStatic, statsInterp atomic.Uint64
-
-// PathStats reports how many profiles each path has produced since
-// process start (static fast path, interpreted fallback).
-func PathStats() (staticN, interpN uint64) {
-	return statsStatic.Load(), statsInterp.Load()
-}
-
 // profileDispatch tries the profiling paths cheapest-first.
 func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, error) {
 	sample := sampleFor(cfg, maxGroups, spread)
@@ -89,7 +78,6 @@ func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Prof
 	if e.plan != nil {
 		prof, err := runPlan(e.plan, cfg, sample)
 		if err == nil {
-			statsStatic.Add(1)
 			obs.Global().Counter("profile_static_total", "").Inc()
 			prof.Source = SourceStatic
 			return prof, nil
@@ -99,7 +87,6 @@ func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Prof
 		// (the slice executor has not touched the buffers, so the rerun
 		// starts from the same state).
 	}
-	statsInterp.Add(1)
 	obs.Global().Counter("profile_interp_total", "").Inc()
 	prof, src, err := interpProfile(f, cfg, sample, runtime.GOMAXPROCS(0), e.indep)
 	if prof != nil {

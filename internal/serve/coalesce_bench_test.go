@@ -14,15 +14,15 @@ import (
 	"repro/internal/model"
 )
 
-// The coalescing benchmarks quantify the tentpole win: with the
+// The coalescing benchmarks quantify the singleflight win: with the
 // singleflight prep cache, K concurrent predictions of one kernel
 // execute ONE compile+analyze; without it (the pre-coalescing service,
 // emulated with per-request caches) they execute K. Run them with
 //
-//	make bench-serve
+//	go test -run '^$' -bench 'BenchmarkPredict(Coalesced|Uncoalesced)' ./internal/serve
 //
-// and compare the computes/op metric: coalesced must be at least 5x
-// lower (it is K times lower by construction).
+// and compare the computes/op metric (K times lower coalesced, by
+// construction). TestV2PredictCoalescing is the gate that asserts it.
 
 const benchFanout = 32
 

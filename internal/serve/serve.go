@@ -252,7 +252,7 @@ func New(cfg Config) *Server {
 		// that are all waiting on each other's queues, a distributed
 		// deadlock that a single-CPU fleet (one slot per replica) hits
 		// almost immediately.
-		fwdAdmit:  newAdmitter(cfg.MaxConcurrentPredicts, cfg.PredictQueueDepth),
+		fwdAdmit: newAdmitter(cfg.MaxConcurrentPredicts, cfg.PredictQueueDepth),
 	}
 	if len(cfg.Peers) > 0 {
 		if err := s.ConfigureCluster(cfg.SelfURL, cfg.Peers); err != nil {

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -331,9 +331,8 @@ func TestDebugHandler(t *testing.T) {
 }
 
 // benchPredict measures the full HTTP round trip of a warm (pred-LRU
-// hit) /v2/predict — the hot path the <3% tracing-overhead budget is
-// defined against.
-func benchPredict(b *testing.B, traceCapacity int) float64 {
+// hit) /v2/predict — the hot path TestTracingAllocs budgets.
+func benchPredict(b *testing.B, traceCapacity int) {
 	s := New(Config{
 		Logger:        discardLogger(),
 		TraceCapacity: traceCapacity,
@@ -354,54 +353,48 @@ func benchPredict(b *testing.B, traceCapacity int) float64 {
 		}
 		resp.Body.Close()
 	}
-	b.StopTimer()
-	return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 }
 
 func BenchmarkPredictTraced(b *testing.B)   { benchPredict(b, 256) }
 func BenchmarkPredictUntraced(b *testing.B) { benchPredict(b, -1) }
 
-// TestTraceOverheadArtifact runs the traced and untraced predict
-// benchmarks and writes the overhead comparison to the JSON file named
-// by BENCH_TRACE_JSON (the `make bench-trace` CI artifact). Without the
-// env var it is skipped — a benchmark run inside go test would slow
-// every plain `go test ./...` invocation.
-func TestTraceOverheadArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_TRACE_JSON")
-	if out == "" {
-		t.Skip("set BENCH_TRACE_JSON=path to produce the trace-overhead artifact")
-	}
-	traced := testing.Benchmark(BenchmarkPredictTraced)
-	untraced := testing.Benchmark(BenchmarkPredictUntraced)
-	tNs := float64(traced.NsPerOp())
-	uNs := float64(untraced.NsPerOp())
-	ratio := 0.0
-	if uNs > 0 {
-		ratio = tNs/uNs - 1
-	}
-	art := map[string]any{
-		"benchmark":        "PredictWarmHTTP",
-		"traced_ns_op":     tNs,
-		"untraced_ns_op":   uNs,
-		"overhead_ratio":   ratio,
-		"overhead_percent": ratio * 100,
-		"traced_n":         traced.N,
-		"untraced_n":       untraced.N,
-		"budget_percent":   3.0,
-		"within_budget":    ratio < 0.03,
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
+// tracingAllocBudget is how many heap allocations tracing may add to
+// one warm /v2/predict. Measured with Go 1.24: +9 (205 vs 196), up to
+// +11 under -race.
+const tracingAllocBudget = 16
+
+// TestTracingAllocs bounds the cost of tracing on the warm predict
+// path by allocations per request, which — unlike a timed A/B on a
+// shared machine — are deterministic enough to fail on. The request
+// goes straight into Server.Handler() with a ResponseRecorder, so no
+// socket or client allocations enter the count.
+func TestTracingAllocs(t *testing.T) {
+	body, err := json.Marshal(tracePredictBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	warmAllocs := func(traceCapacity int) float64 {
+		s := New(Config{Logger: discardLogger(), TraceCapacity: traceCapacity})
+		t.Cleanup(func() {
+			if err := s.Close(context.Background()); err != nil {
+				t.Error(err)
+			}
+		})
+		h := s.Handler()
+		predict := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/predict", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("predict status = %d, body %s", rec.Code, rec.Body)
+			}
+		}
+		predict() // fill the prediction cache
+		return testing.AllocsPerRun(100, predict)
 	}
-	t.Logf("traced %.0f ns/op, untraced %.0f ns/op, overhead %.2f%%", tNs, uNs, ratio*100)
-	// Report, don't hard-fail: HTTP round-trip noise on shared CI
-	// runners can exceed the budget without any real regression. The
-	// artifact records the measurement for the PR discussion.
-	if ratio >= 0.03 {
-		t.Logf("WARNING: tracing overhead %.2f%% exceeds the 3%% budget", ratio*100)
+	traced, untraced := warmAllocs(256), warmAllocs(-1)
+	t.Logf("warm /v2/predict: %.0f allocs traced, %.0f untraced", traced, untraced)
+	if traced-untraced > tracingAllocBudget {
+		t.Errorf("tracing adds %.0f allocs per warm predict (%.0f vs %.0f), budget %d",
+			traced-untraced, traced, untraced, tracingAllocBudget)
 	}
 }

@@ -2,19 +2,15 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
-	"os"
-	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 )
 
 // warmCorpus is the deterministic stride-6 kernel subset (10 of the 60
 // bundled kernels, spanning Rodinia and PolyBench) that flexcl-check
-// -smoke and the DSE benchmarks also use.
+// -smoke also uses.
 func warmCorpus() []*bench.Kernel {
 	var out []*bench.Kernel
 	for i, k := range bench.All() {
@@ -26,44 +22,29 @@ func warmCorpus() []*bench.Kernel {
 }
 
 // predictCorpus runs one /v2/predict per corpus kernel (first WG size
-// each) and returns the raw response bodies keyed by kernel id plus the
-// per-request wall times.
-func predictCorpus(t *testing.T, baseURL string, ks []*bench.Kernel) (map[string][]byte, []time.Duration) {
+// each) and returns the raw response bodies keyed by kernel id.
+func predictCorpus(t *testing.T, baseURL string, ks []*bench.Kernel) map[string][]byte {
 	t.Helper()
 	bodies := make(map[string][]byte, len(ks))
-	times := make([]time.Duration, 0, len(ks))
 	for _, k := range ks {
 		req := map[string]any{
 			"kernel": map[string]any{"id": k.ID()},
 			"design": map[string]any{"wg_size": k.WGSizes()[0]},
 		}
-		t0 := time.Now()
 		resp, body := postJSON(t, baseURL+"/v2/predict", req)
-		times = append(times, time.Since(t0))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: predict status %d: %s", k.ID(), resp.StatusCode, body)
 		}
 		bodies[k.ID()] = body
 	}
-	return bodies, times
+	return bodies
 }
 
-func quantile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
-
-// TestWarmRestartArtifact is the tentpole's acceptance proof: a server
+// TestWarmRestartArtifact is the warm-restart acceptance proof: a server
 // started against an artifact directory populated by a previous
 // instance serves the corpus with ZERO compile+analyze computes — every
 // prep fill restored from disk — and returns byte-identical prediction
-// bodies. With BENCH_SERVE_JSON set it also writes the cold-vs-warm
-// comparison as the `make bench-serve` CI artifact.
+// bodies.
 func TestWarmRestartArtifact(t *testing.T) {
 	dir := t.TempDir()
 	ks := warmCorpus()
@@ -74,7 +55,7 @@ func TestWarmRestartArtifact(t *testing.T) {
 	// Cold start: empty directory, every prediction pays the full
 	// compile+analyze.
 	cold, coldTS := newTestServer(t, Config{ArtifactDir: dir})
-	coldBodies, coldTimes := predictCorpus(t, coldTS.URL, ks)
+	coldBodies := predictCorpus(t, coldTS.URL, ks)
 	coldStats := cold.prep.Stats()
 	if coldStats.Computes != uint64(len(ks)) {
 		t.Fatalf("cold computes = %d, want %d (one per kernel)", coldStats.Computes, len(ks))
@@ -94,7 +75,7 @@ func TestWarmRestartArtifact(t *testing.T) {
 	// Warm restart: a fresh process (new Server, new caches) on the
 	// populated directory.
 	warm, warmTS := newTestServer(t, Config{ArtifactDir: dir})
-	warmBodies, warmTimes := predictCorpus(t, warmTS.URL, ks)
+	warmBodies := predictCorpus(t, warmTS.URL, ks)
 	warmStats := warm.prep.Stats()
 	if warmStats.Computes != 0 {
 		t.Errorf("warm restart ran %d compile+analyze computes, want 0", warmStats.Computes)
@@ -127,51 +108,4 @@ func TestWarmRestartArtifact(t *testing.T) {
 			t.Errorf("/metrics missing %s", metric)
 		}
 	}
-
-	if out := os.Getenv("BENCH_SERVE_JSON"); out != "" {
-		writeBenchServeArtifact(t, out, len(ks), coldStats.Computes, warmStats.DiskHits, coldTimes, warmTimes)
-	}
-}
-
-// writeBenchServeArtifact records the cold-start vs warm-restart
-// comparison as the `make bench-serve` CI artifact (BENCH_serve.json).
-func writeBenchServeArtifact(t *testing.T, path string, kernels int, coldComputes, warmDiskHits uint64, coldTimes, warmTimes []time.Duration) {
-	t.Helper()
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	var coldSum, warmSum time.Duration
-	for _, d := range coldTimes {
-		coldSum += d
-	}
-	for _, d := range warmTimes {
-		warmSum += d
-	}
-	speedup := 0.0
-	if warmSum > 0 {
-		speedup = float64(coldSum) / float64(warmSum)
-	}
-	art := map[string]any{
-		"benchmark":          "ServeColdVsWarmRestart",
-		"kernels":            kernels,
-		"cold_computes":      coldComputes,
-		"warm_computes":      0,
-		"warm_disk_hits":     warmDiskHits,
-		"cold_p50_ms":        ms(quantile(coldTimes, 0.50)),
-		"cold_p99_ms":        ms(quantile(coldTimes, 0.99)),
-		"cold_total_ms":      ms(coldSum),
-		"warm_p50_ms":        ms(quantile(warmTimes, 0.50)),
-		"warm_p99_ms":        ms(quantile(warmTimes, 0.99)),
-		"warm_total_ms":      ms(warmSum),
-		"cold_over_warm":     speedup,
-		"predictions_match":  true,
-		"zero_warm_computes": true,
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("cold p99 %.1fms, warm p99 %.1fms, cold/warm %.1fx over %d kernels",
-		ms(quantile(coldTimes, 0.99)), ms(quantile(warmTimes, 0.99)), speedup, kernels)
 }

@@ -223,9 +223,8 @@ type Client struct {
 	http  *http.Client
 	retry RetryPolicy
 	hedge HedgePolicy
-	// rr is the shared round-robin cursor for spread calls (a pointer,
-	// so deprecated-style copies like WithRetry share the rotation).
-	rr *atomic.Uint64
+	// rr is the round-robin cursor for spread calls.
+	rr atomic.Uint64
 	// sleep is swapped out by tests; nil means a real timer wait.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -281,25 +280,12 @@ func New(baseURL string, httpClient *http.Client, opts ...Option) *Client {
 	c := &Client{
 		base: strings.TrimRight(baseURL, "/"),
 		http: httpClient,
-		rr:   new(atomic.Uint64),
 	}
 	c.peers = []string{c.base}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
-}
-
-// WithRetry returns a copy of the client that retries shed requests
-// under the given policy. The receiver is unchanged.
-//
-// Deprecated: pass the package-level WithRetry option to New instead:
-//
-//	c := flexclclient.New(url, nil, flexclclient.WithRetry(flexclclient.RetryPolicy{MaxAttempts: 4}))
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	cp := *c
-	cp.retry = p
-	return &cp
 }
 
 // Peers returns the client's replica set, primary first.

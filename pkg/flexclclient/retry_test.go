@@ -122,7 +122,7 @@ func fakeSleep(into *[]time.Duration) func(context.Context, time.Duration) error
 func TestRetryShedThenSucceed(t *testing.T) {
 	ts, calls := shedServer(t, 2, "1")
 	var slept []time.Duration
-	c := New(ts.URL, ts.Client()).WithRetry(RetryPolicy{MaxAttempts: 4})
+	c := New(ts.URL, ts.Client(), WithRetry(RetryPolicy{MaxAttempts: 4}))
 	c.sleep = fakeSleep(&slept)
 
 	v, err := c.Job(context.Background(), "j1")
@@ -148,7 +148,7 @@ func TestRetryShedThenSucceed(t *testing.T) {
 func TestRetryHonorsHTTPDateHint(t *testing.T) {
 	ts, _ := shedServer(t, 1, time.Now().Add(3*time.Second).UTC().Format(http.TimeFormat))
 	var slept []time.Duration
-	c := New(ts.URL, ts.Client()).WithRetry(RetryPolicy{MaxAttempts: 2})
+	c := New(ts.URL, ts.Client(), WithRetry(RetryPolicy{MaxAttempts: 2}))
 	c.sleep = fakeSleep(&slept)
 	if _, err := c.Job(context.Background(), "j1"); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestRetryOnlyShed(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	var slept []time.Duration
-	c := New(ts.URL, ts.Client()).WithRetry(RetryPolicy{MaxAttempts: 5})
+	c := New(ts.URL, ts.Client(), WithRetry(RetryPolicy{MaxAttempts: 5}))
 	c.sleep = fakeSleep(&slept)
 	_, err := c.Job(context.Background(), "j1")
 	if !errors.Is(err, ErrNotFound) {
@@ -198,7 +198,7 @@ func TestRetryOnlyShed(t *testing.T) {
 func TestRetryExhausted(t *testing.T) {
 	ts, calls := shedServer(t, 1000, "")
 	var slept []time.Duration
-	c := New(ts.URL, ts.Client()).WithRetry(RetryPolicy{MaxAttempts: 3})
+	c := New(ts.URL, ts.Client(), WithRetry(RetryPolicy{MaxAttempts: 3}))
 	c.sleep = fakeSleep(&slept)
 	_, err := c.Job(context.Background(), "j1")
 	if !errors.Is(err, ErrShed) {
@@ -217,7 +217,7 @@ func TestRetryExhausted(t *testing.T) {
 // shed it was waiting out.
 func TestRetryContextCanceled(t *testing.T) {
 	ts, calls := shedServer(t, 1000, "")
-	c := New(ts.URL, ts.Client()).WithRetry(RetryPolicy{MaxAttempts: 5})
+	c := New(ts.URL, ts.Client(), WithRetry(RetryPolicy{MaxAttempts: 5}))
 	ctx, cancel := context.WithCancel(context.Background())
 	c.sleep = func(context.Context, time.Duration) error {
 		cancel()
@@ -229,28 +229,5 @@ func TestRetryContextCanceled(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("server saw %d requests after cancellation, want 1", got)
-	}
-}
-
-// TestWithRetryLeavesReceiver: WithRetry returns a copy; the original
-// client keeps failing fast.
-func TestWithRetryLeavesReceiver(t *testing.T) {
-	ts, calls := shedServer(t, 1000, "")
-	base := New(ts.URL, ts.Client())
-	retrying := base.WithRetry(RetryPolicy{MaxAttempts: 2})
-	var slept []time.Duration
-	retrying.sleep = fakeSleep(&slept)
-
-	if _, err := base.Job(context.Background(), "j1"); !errors.Is(err, ErrShed) {
-		t.Fatalf("base err = %v, want ErrShed", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("base client retried: %d requests", got)
-	}
-	if _, err := retrying.Job(context.Background(), "j1"); !errors.Is(err, ErrShed) {
-		t.Fatalf("retrying err = %v, want ErrShed", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("retrying client sent %d total requests, want 3", got)
 	}
 }

@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race cover serve fuzz-smoke fmt-check perfbench-check check check-smoke ci
+.PHONY: build vet test race cover serve fuzz-smoke bench-smoke fmt-check perfbench-check check check-smoke ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLowerBound$$' -fuzztime=$(FUZZTIME) ./internal/dse
 	$(GO) test -run='^$$' -fuzz='^FuzzAffineAnalyzer$$' -fuzztime=$(FUZZTIME) ./internal/interp
 
+# Run every in-package benchmark once, so the on-demand comparisons the
+# docs point to (BenchmarkPredict, BenchmarkSearchVsExplore, ...) keep
+# running, not just compiling. It measures nothing; perfbench/ is the
+# benchmark.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # Every tracked Go file must be gofmt-clean.
 fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
@@ -65,4 +72,4 @@ check-smoke:
 	$(GO) run ./cmd/tracelint -root .
 	$(GO) run ./cmd/flexcl-check -smoke -timeout 5m
 
-ci: build vet fmt-check race fuzz-smoke perfbench-check check-smoke
+ci: build vet fmt-check race fuzz-smoke bench-smoke perfbench-check check-smoke

@@ -168,6 +168,29 @@ func Build(f *ir.Func, freq map[*ir.Block]float64, cfg *sched.Config) *Graph {
 	return g
 }
 
+// SerialDepth is the non-pipelined work-item latency of
+// sched.SerialDepth(g.Func, g.Freq, cfg) for the cfg Build scheduled
+// with: the same frequency-weighted sum of block lengths in the same
+// block order, so it is bitwise identical, but read from BlockLatency
+// instead of scheduling every block again.
+func (g *Graph) SerialDepth() int {
+	total := 0.0
+	for _, b := range g.Func.Blocks {
+		w, ok := g.Freq[b]
+		if !ok {
+			w = 1
+		}
+		if w <= 0 {
+			continue
+		}
+		total += w * float64(g.BlockLatency[b])
+	}
+	if total < 1 {
+		return 1
+	}
+	return int(math.Ceil(total))
+}
+
 type edge struct{ from, to *ir.Block }
 
 // acyclicOrder returns blocks in a topological order of the CFG with back

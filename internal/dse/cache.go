@@ -508,9 +508,8 @@ func (c *PrepCache) Cap() int { return c.cap }
 
 // Stats returns a snapshot of the cache's hit/miss counters. A lookup
 // counts as a miss when it created the entry and a hit when the entry
-// already existed — so an Explore of d design points over w WG sizes
-// records w misses and d+w-ish hits, the reuse the cache exists to
-// provide. Computes counts actual compile+analyze executions (misses
+// already existed — so an Explore over w WG sizes makes w lookups: w
+// misses on a fresh cache, w hits when a previous exploration filled it. Computes counts actual compile+analyze executions (misses
 // answered by the artifact store instead appear in DiskHits),
 // Coalesced counts lookups that joined a fill still in flight, and
 // Evictions counts completed entries dropped by the capacity bound.

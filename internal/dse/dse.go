@@ -135,6 +135,7 @@ func Explore(ctx context.Context, k *bench.Kernel, opts Options) (*Result, error
 	// Phase 1: prepare (compile + analyze) every WG size concurrently.
 	// One analysis per work-group size serves every design at that size.
 	wgs := k.WGSizes()
+	preps := make([]*prepEntry, len(wgs))
 	var prepNanos int64
 	_, prepSpan := telemetry.Start(ctx, "prep")
 	prepSpan.Annotate("wg_sizes", fmt.Sprint(len(wgs)))
@@ -147,6 +148,7 @@ func Explore(ctx context.Context, k *bench.Kernel, opts Options) (*Result, error
 			fail(e.err)
 			return
 		}
+		preps[i] = e
 		if computed {
 			atomic.AddInt64(&prepNanos, int64(e.dur))
 		}
@@ -154,6 +156,16 @@ func Explore(ctx context.Context, k *bench.Kernel, opts Options) (*Result, error
 	prepSpan.End()
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// Phase 2 reads the entries phase 1 holds, so a sweep makes one
+	// cache lookup per WG size, and an eviction in between cannot
+	// trigger a second fill.
+	prepOf := make(map[int64]*prepEntry, len(wgs))
+	for i, wg := range wgs {
+		prepOf[wg] = preps[i]
 	}
 
 	// Phase 2: fan the design points out over the workers. Each point is
@@ -173,11 +185,7 @@ func Explore(ctx context.Context, k *bench.Kernel, opts Options) (*Result, error
 			return
 		}
 		d := designs[i]
-		e, _ := cache.get(ctx, k, p, d.WGSize)
-		if e.err != nil {
-			fail(e.err)
-			return
-		}
+		e := prepOf[d.WGSize]
 		an := e.an
 		if opts.PruneInfeasible && !an.ResourceUsage(d).Feasible {
 			return

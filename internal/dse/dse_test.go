@@ -206,3 +206,33 @@ func TestPruneInfeasible(t *testing.T) {
 		t.Error("pruning removed everything")
 	}
 }
+
+// TestExploreOneLookupPerWGSize pins the sweep's prep-cache traffic: the
+// design phase reads the entries the prep phase returned, so an
+// exhaustive Explore makes one lookup per WG size, not one per design
+// point, and a capacity too small to hold every WG size cannot make a
+// design point recompute an evicted entry.
+func TestExploreOneLookupPerWGSize(t *testing.T) {
+	k := bench.Find("hotspot", "hotspot")
+	wgs := uint64(len(k.WGSizes()))
+	for _, capacity := range []int{0, 1} {
+		cache := dse.NewPrepCacheOpts(dse.PrepCacheOptions{Capacity: capacity})
+		r, err := dse.Explore(context.Background(), k, dse.Options{
+			SkipActual: true, SkipBaseline: true, Cache: cache,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Points) <= len(k.WGSizes()) {
+			t.Fatalf("capacity %d: %d points, want a full sweep", capacity, len(r.Points))
+		}
+		st := cache.Stats()
+		if got := st.Hits + st.Misses; got != wgs {
+			t.Errorf("capacity %d: %d prep lookups (%d hits, %d misses), want %d, one per WG size",
+				capacity, got, st.Hits, st.Misses, wgs)
+		}
+		if st.Computes != wgs {
+			t.Errorf("capacity %d: %d computes, want %d", capacity, st.Computes, wgs)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/interp/static"
 	"repro/internal/ir"
@@ -34,22 +33,19 @@ const (
 // guard without burning 64M steps (see export_test.go).
 var profStepLimit int64 = 64 << 20
 
-// planCache memoizes the static analysis per function: *ir.Func →
-// *planEntry. Analysis is pure, and Funcs are shared read-only across
-// goroutines once built (see ir.EnsureLoops), so a duplicated analysis
-// during a race is only wasted work, never wrong.
-var planCache sync.Map
-
 type planEntry struct {
 	plan   *static.Plan // nil when the kernel declined analysis
 	reason string       // decline reason when plan is nil
 	indep  bool         // work-groups provably independent (parallel ok)
 }
 
+// planFor returns f's static analysis, computed once per function and
+// stored on it (ir.Func.Plan), so it lives exactly as long as f.
 func planFor(f *ir.Func) *planEntry {
-	if e, ok := planCache.Load(f); ok {
-		return e.(*planEntry)
-	}
+	return f.Plan(buildPlan).(*planEntry)
+}
+
+func buildPlan(f *ir.Func) any {
 	e := &planEntry{indep: groupIndependent(f)}
 	plan, err := static.Analyze(f, static.Options{
 		KnownCall:   KnownBuiltin,
@@ -60,8 +56,7 @@ func planFor(f *ir.Func) *planEntry {
 	} else {
 		e.plan = plan
 	}
-	actual, _ := planCache.LoadOrStore(f, e)
-	return actual.(*planEntry)
+	return e
 }
 
 // StaticAnalyzable reports whether f's profile can be produced by the

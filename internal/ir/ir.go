@@ -367,6 +367,20 @@ type Func struct {
 	// loopsOnce backs EnsureLoops: the one-time loop analysis that makes
 	// a fully built function shareable across goroutines.
 	loopsOnce sync.Once
+
+	// planOnce and plan back Plan.
+	planOnce sync.Once
+	plan     any
+}
+
+// Plan returns build(f), calling build at most once per function; every
+// later call returns the first result. It lets a consumer (the
+// interpreter's static profiling plan) keep an analysis of the finished
+// function on the function itself, so the analysis is collected with
+// the function instead of keeping it reachable from a package-level map.
+func (f *Func) Plan(build func(*Func) any) any {
+	f.planOnce.Do(func() { f.plan = build(f) })
+	return f.plan
 }
 
 // NewFunc returns an empty function.

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"repro/internal/cdfg"
-	"repro/internal/sched"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // DesignBounds carries the design-independent quantities of one analysis
 // plus provable minima of the design-dependent schedule terms, taken over
@@ -66,10 +62,11 @@ func CUValues(maxCU int) []int {
 }
 
 // DesignBounds computes the schedule minima over the (peVals × cuVals)
-// lattice. Each distinct resource configuration (Eq. 4's per-PE issue
-// limits; typically only a couple are distinct after the DSP-slot clamp)
-// is scheduled once, so the cost is a few schedules per work-group size —
-// far below one full design-space sweep.
+// lattice. It reads the analysis's schedule table, which holds one entry
+// per distinct resource configuration (Eq. 4's per-PE issue limits;
+// typically only a couple are distinct after the DSP-slot clamp), so the
+// cost is a few schedules per work-group size — far below one full
+// design-space sweep — and the predictions that follow are table hits.
 func (a *Analysis) DesignBounds(peVals, cuVals []int) DesignBounds {
 	b := DesignBounds{
 		WGSize:     a.WGSize,
@@ -78,33 +75,19 @@ func (a *Analysis) DesignBounds(peVals, cuVals []int) DesignBounds {
 		LMemWI:     trace.MemLatencyWI(a.Mem, a.PatLat),
 		HasBarrier: a.F.HasBarrier,
 	}
-	seen := map[sched.Resources]bool{}
 	first := true
 	for _, pe := range peVals {
 		for _, cu := range cuVals {
 			res := peResources(a.Platform, Design{PE: pe, CU: cu})
-			if seen[res] {
-				continue
-			}
-			seen[res] = true
-			scfg := &sched.Config{Table: a.Table, Res: res}
-			g := cdfg.Build(a.F, a.Freq, scfg)
-			r := sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
-			sd := sched.SerialDepth(a.F, g.Freq, scfg)
+			r, sd := a.pipelined(res), a.serialDepth(res)
 			if first {
 				b.PipeII, b.PipeDepth, b.SerialDepth = r.II, r.Depth, sd
 				first = false
 				continue
 			}
-			if r.II < b.PipeII {
-				b.PipeII = r.II
-			}
-			if r.Depth < b.PipeDepth {
-				b.PipeDepth = r.Depth
-			}
-			if sd < b.SerialDepth {
-				b.SerialDepth = sd
-			}
+			b.PipeII = min(b.PipeII, r.II)
+			b.PipeDepth = min(b.PipeDepth, r.Depth)
+			b.SerialDepth = min(b.SerialDepth, sd)
 		}
 	}
 	if first { // empty lattice: degenerate but well-formed bounds

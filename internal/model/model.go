@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cdfg"
 	"repro/internal/device"
@@ -19,6 +20,18 @@ import (
 // work-group size: the profiled trip counts, the classified global-memory
 // trace, and the profiled device latencies. It is independent of the
 // remaining design parameters, so one Analysis serves many design points.
+//
+// An Analysis memoizes the design-independent part of a prediction. The
+// PE schedule (SMS result and serial depth) depends on the design only
+// through the sched.Resources that peResources derives from it, so it is
+// kept in a table keyed by those resources, and the operation totals,
+// which depend on no design parameter, are computed once. The memo is
+// unexported and never persisted: a zero-value or literal Analysis
+// starts with it empty and fills it lazily, so the first prediction per
+// resource configuration schedules and the rest are Eq. 5–12
+// arithmetic. Predict, PredictWith and DesignBounds are safe for
+// concurrent use; the exported fields must not change after the first
+// of them is called.
 type Analysis struct {
 	F        *ir.Func
 	Platform *device.Platform
@@ -35,6 +48,83 @@ type Analysis struct {
 	WGSize int64
 	// Barriers is the barrier crossings per work-item.
 	Barriers float64
+
+	memo schedMemo
+}
+
+// schedMemo is an Analysis's table of design-independent schedule
+// results. The schedule depends on the design only through the PE's
+// sched.Resources, which take one or two distinct values over a
+// platform's whole PE×CU lattice. Any PE and CU, even outside the
+// lattice, vary only DSPSlots, which peResources clamps to 1–16, so the
+// table never exceeds 16 entries.
+type schedMemo struct {
+	mu      sync.Mutex
+	entries []*schedEntry // guarded by mu; entries are never removed
+
+	totOnce sync.Once
+	tot     sched.FuncTotals
+}
+
+// schedEntry is the PE schedule of one resource configuration: the SMS
+// result pipelined designs read and the serial depth re-issued PEs read.
+// Each is filled by the first prediction that needs it, so a cold
+// prediction schedules no more than a per-call one would: a serial one
+// builds the CDFG and sums its block lengths, a pipelined one builds the
+// CDFG and runs SMS, recording the serial depth on the way.
+type schedEntry struct {
+	res        sched.Resources
+	pipeOnce   sync.Once
+	pipe       sched.PipelineResult
+	serialOnce sync.Once
+	serial     int
+}
+
+// entry returns the table entry for res, adding an empty one on the
+// first lookup.
+func (m *schedMemo) entry(res sched.Resources) *schedEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.entries {
+		if e.res == res {
+			return e
+		}
+	}
+	e := &schedEntry{res: res}
+	m.entries = append(m.entries, e)
+	return e
+}
+
+// pipelined returns the SMS work-item pipeline schedule (Eq. 1–4) under
+// res.
+func (a *Analysis) pipelined(res sched.Resources) *sched.PipelineResult {
+	e := a.memo.entry(res)
+	e.pipeOnce.Do(func() {
+		scfg := &sched.Config{Table: a.Table, Res: res}
+		g := cdfg.Build(a.F, a.Freq, scfg)
+		e.pipe = *sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
+		e.serialOnce.Do(func() { e.serial = g.SerialDepth() })
+	})
+	return &e.pipe
+}
+
+// serialDepth returns the non-pipelined work-item latency under res.
+func (a *Analysis) serialDepth(res sched.Resources) int {
+	e := a.memo.entry(res)
+	e.serialOnce.Do(func() {
+		e.serial = cdfg.Build(a.F, a.Freq, &sched.Config{Table: a.Table, Res: res}).SerialDepth()
+	})
+	return e.serial
+}
+
+// totals returns the frequency-weighted operation totals of Eq. 4 and 6.
+// They read only the latency table's DSP costs, never the resources, so
+// one computation serves every design.
+func (a *Analysis) totals() sched.FuncTotals {
+	a.memo.totOnce.Do(func() {
+		a.memo.tot = sched.Totals(a.F, a.Freq, &sched.Config{Table: a.Table})
+	})
+	return a.memo.tot
 }
 
 // AnalysisOptions tunes Analyze.
@@ -202,12 +292,11 @@ func (a *Analysis) Predict(d Design) *Estimate {
 // PredictWith evaluates the model with selected components disabled.
 func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
 	e := &Estimate{Design: d, Mode: EffectiveMode(a.F, d)}
-	scfg := &sched.Config{Table: a.Table, Res: peResources(a.Platform, d)}
+	res := peResources(a.Platform, d)
 
 	// Computation model: CDFG depth + work-item pipeline schedule.
-	g := cdfg.Build(a.F, a.Freq, scfg)
 	if d.WIPipeline {
-		r := sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
+		r := a.pipelined(res)
 		e.IIComp, e.Depth = r.II, r.Depth
 		e.RecMII, e.ResMII = r.RecMII, r.ResMII
 		if ab.IIFromMII {
@@ -215,21 +304,29 @@ func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
 		}
 	} else {
 		// Without work-item pipelining the PE is re-issued per work-item.
-		depth := sched.SerialDepth(a.F, g.Freq, scfg)
+		depth := a.serialDepth(res)
 		e.IIComp, e.Depth = depth, depth
 	}
+	a.evaluate(e, ab, res, a.totals())
+	return e
+}
+
+// evaluate completes e, whose PE schedule (IIComp, Depth) is set, with
+// Eq. 5–12: res is the design's PE resources and tot the operation
+// totals.
+func (a *Analysis) evaluate(e *Estimate, ab Ablations, res sched.Resources, tot sched.FuncTotals) {
+	d := e.Design
 
 	// Eq. 6 — effective PE parallelism: the P replicas share the CU's
 	// local-memory ports and DSP budget. (The printed equation's
 	// ⌈Port/(N·P)⌉ terms degenerate to 1 for any realistic P; we
 	// implement the evident intent Port/N capped by P.)
-	tot := sched.Totals(a.F, a.Freq, scfg)
 	e.NPE = d.PE
 	if tot.LocalReads >= 1 {
-		e.NPE = minInt(e.NPE, maxInt(1, int(float64(scfg.Res.LocalRead)/tot.LocalReads)))
+		e.NPE = minInt(e.NPE, maxInt(1, int(float64(res.LocalRead)/tot.LocalReads)))
 	}
 	if tot.LocalWrites >= 1 {
-		e.NPE = minInt(e.NPE, maxInt(1, int(float64(scfg.Res.LocalWrite)/tot.LocalWrites)))
+		e.NPE = minInt(e.NPE, maxInt(1, int(float64(res.LocalWrite)/tot.LocalWrites)))
 	}
 	if tot.DSPOps >= 1 {
 		dspPerCU := a.Platform.DSPTotal / maxInt(1, d.CU)
@@ -317,7 +414,6 @@ func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
 		e.Cycles = floor
 	}
 	e.Seconds = e.Cycles / (a.Platform.ClockMHz * 1e6)
-	return e
 }
 
 func minInt(a, b int) int {

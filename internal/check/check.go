@@ -24,10 +24,11 @@
 //   - profile equivalence: the static-analysis profiler fast path
 //     yields bitwise the same Profile as the interpreter for every
 //     kernel the analyzer claims (both sampling modes, errors
-//     included), the parallel interpreter is deterministic across
-//     worker counts, and the statically analyzable fraction of
-//     PolyBench stays above its floor — the proof behind letting the
-//     dispatcher skip interpretation.
+//     included), the memory classification streamed out of the
+//     profiler equals the one computed from materialized traces, and
+//     the statically analyzable fraction of PolyBench stays above its
+//     floor — the proof behind letting the dispatcher skip
+//     interpretation and the prep path skip the traces.
 //
 // The whole value of an analytical model is that its numbers can be
 // trusted in place of synthesis, so silent correctness drift is the

@@ -3,20 +3,27 @@ package check
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/bench"
+	"repro/internal/device"
 	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/model"
+	"repro/internal/trace"
 )
 
-// FamilyProfile proves the static-analysis profiler fast path exact:
-// for every kernel the analyzer claims, the statically derived profile
-// must be field-for-field identical to the interpreter's — both prefix
-// and spread sampling — and the interpreter itself must be
-// deterministic across worker counts, so the dispatcher can pick any
-// path without changing a single downstream model estimate. Corpus-wide
-// the analyzer must claim at least profileMinStaticFraction of the
-// PolyBench suite, the regular workloads the fast path exists for.
+// FamilyProfile proves the profiler's fast paths exact. For every
+// kernel the analyzer claims, the statically derived profile must be
+// field-for-field identical to the interpreter's — both prefix and
+// spread sampling — so the dispatcher can pick either path without
+// changing a single downstream model estimate. For every kernel, the
+// memory classification model.Analyze streams out of the profiler must
+// be bitwise the one trace.ClassifyGrouped computes from the
+// materialized traces. Corpus-wide the analyzer must claim at least
+// profileMinStaticFraction of the PolyBench suite, the regular
+// workloads the fast path exists for.
 const FamilyProfile = "profile"
 
 // profileMinStaticFraction is the floor on the statically analyzable
@@ -40,7 +47,7 @@ type profileAudit struct {
 	interpErr  string // error from the interpreter ("" = none)
 	prefixDiff string // static vs interp, prefix sampling
 	spreadDiff string // static vs interp, spread sampling
-	workerDiff string // interp at 1 worker vs 4 workers
+	streamDiff string // model.Analyze's streamed analysis vs materialized traces
 }
 
 // profileKernelFindings turns one kernel's audit into findings.
@@ -59,11 +66,12 @@ func profileKernelFindings(a profileAudit) (findings []Finding, checks int) {
 		fail("decline-reason", "a decline reason for the fallback", "empty reason")
 	}
 
-	// The interpreter must be deterministic at any worker count; this
-	// holds for every kernel, fallback ones most of all.
+	// Streaming the traces must not change the analysis, whichever path
+	// produced the profile.
 	checks++
-	if a.workerDiff != "" {
-		fail("worker-determinism", "identical profiles at 1 and 4 workers", a.workerDiff)
+	if a.streamDiff != "" {
+		fail("stream-equals-materialized",
+			"model.Analyze equals ClassifyGrouped over ProfileKernel's traces", a.streamDiff)
 	}
 
 	if !a.analyzable {
@@ -89,8 +97,8 @@ func profileKernelFindings(a profileAudit) (findings []Finding, checks int) {
 }
 
 // profileAuditKernel runs both profiler paths for one kernel and
-// records the comparison.
-func profileAuditKernel(k *bench.Kernel) (profileAudit, error) {
+// records the comparisons.
+func profileAuditKernel(ctx context.Context, k *bench.Kernel, p *device.Platform) (profileAudit, error) {
 	a := profileAudit{kernel: k.ID()}
 	f, err := k.Compile(k.MinWG)
 	if err != nil {
@@ -100,7 +108,7 @@ func profileAuditKernel(k *bench.Kernel) (profileAudit, error) {
 
 	diff := func(spread bool) (string, string, string, error) {
 		sp, _, serr := interp.StaticProfile(f, k.Config(k.MinWG), profileGroups, spread)
-		ip, ierr := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, spread, 1)
+		ip, ierr := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, spread)
 		se, ie := "", ""
 		if serr != nil {
 			se = serr.Error()
@@ -123,19 +131,41 @@ func profileAuditKernel(k *bench.Kernel) (profileAudit, error) {
 		}
 	}
 
-	p1, err1 := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, true, 1)
-	p4, err4 := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, true, 4)
-	switch {
-	case err1 != nil && err4 != nil:
-		if err1.Error() != err4.Error() {
-			a.workerDiff = fmt.Sprintf("worker errors differ: %q vs %q", err1, err4)
-		}
-	case err1 != nil || err4 != nil:
-		a.workerDiff = fmt.Sprintf("one worker count failed: 1 → %v, 4 → %v", err1, err4)
-	default:
-		a.workerDiff = p1.Diff(p4)
-	}
+	a.streamDiff = streamVsMaterialized(ctx, f, k, p)
 	return a, nil
+}
+
+// streamVsMaterialized compares model.Analyze, which classifies the
+// memory trace as the profiler streams it, with trace.ClassifyGrouped
+// over ProfileKernel's materialized traces: the classification bitwise,
+// plus the trip counts, barriers and work-item count behind it. It
+// describes the first difference, or returns "".
+func streamVsMaterialized(ctx context.Context, f *ir.Func, k *bench.Kernel, p *device.Platform) string {
+	// Fresh Config per run: the interpreter mutates buffers.
+	an, aerr := model.Analyze(ctx, f, p, k.Config(k.MinWG),
+		model.AnalysisOptions{ProfileGroups: profileGroups})
+	cfg := k.Config(k.MinWG)
+	prof, perr := interp.ProfileKernel(f, cfg, profileGroups)
+	switch {
+	case aerr != nil && perr != nil:
+		if !strings.HasSuffix(aerr.Error(), perr.Error()) {
+			return fmt.Sprintf("errors differ: %q vs %q", aerr, perr)
+		}
+		return ""
+	case aerr != nil || perr != nil:
+		return fmt.Sprintf("one path failed: analyze %v, profile %v", aerr, perr)
+	}
+	l := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
+	mem := trace.ClassifyGrouped(prof.Traces, cfg.Range.Normalize().WorkGroupSize(), l, p.DRAM, p.MemAccessUnitBits/8)
+	if d := an.Mem.Diff(mem); d != "" {
+		return "Mem: " + d
+	}
+	streamed := &interp.Profile{BlockCounts: an.Freq, Barriers: an.Barriers, WorkItems: an.Mem.WorkItems}
+	kept := &interp.Profile{BlockCounts: prof.BlockCounts, Barriers: prof.Barriers, WorkItems: prof.WorkItems}
+	if d := streamed.Diff(kept); d != "" {
+		return "profile: " + d
+	}
+	return ""
 }
 
 // ProfileFindings runs the profile family: the bundled corpus subset
@@ -150,7 +180,7 @@ func ProfileFindings(ctx context.Context, kernels []*bench.Kernel, opts Options)
 	var polyStatic, polyTotal int
 	var firstErr error
 	perKernel(ctx, opts.Workers, all, func(k *bench.Kernel) {
-		a, err := profileAuditKernel(k)
+		a, err := profileAuditKernel(ctx, k, opts.platform())
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {

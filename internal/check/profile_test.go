@@ -49,9 +49,9 @@ func TestProfileComparatorCatchesMismatches(t *testing.T) {
 			"error-match",
 		},
 		{
-			"nondeterministic-workers",
-			profileAudit{kernel: "k", analyzable: false, reason: "r", workerDiff: "Traces[3][0]: differs"},
-			"worker-determinism",
+			"stream-mismatch",
+			profileAudit{kernel: "k", analyzable: false, reason: "r", streamDiff: "Mem: N[RAR/miss] 0.25 vs 0.5"},
+			"stream-equals-materialized",
 		},
 		{
 			"silent-decline",

@@ -37,7 +37,7 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("interp/%s", id), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := interp.InterpProfile(f, k.Config(k.MinWG), groups, true, 1); err != nil {
+				if _, err := interp.InterpProfile(f, k.Config(k.MinWG), groups, true); err != nil {
 					b.Fatal(err)
 				}
 			}

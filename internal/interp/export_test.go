@@ -8,6 +8,3 @@ func SetProfileStepLimitForTest(n int64) (restore func()) {
 	profStepLimit = n
 	return func() { profStepLimit = old }
 }
-
-// GroupIndependentForTest exposes the parallel-execution gate.
-var GroupIndependentForTest = groupIndependent

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/interp/static"
@@ -21,9 +20,6 @@ const (
 	// SourceStatic: the static slice executor walked only the control
 	// flow and address computations, without running work-groups.
 	SourceStatic Source = "static"
-	// SourceInterpParallel: the interpreter ran independent work-groups
-	// on parallel workers and merged partials in dispatch order.
-	SourceInterpParallel Source = "interp-parallel"
 	// SourceInterp: the reference sequential interpreter.
 	SourceInterp Source = "interp"
 )
@@ -36,7 +32,6 @@ var profStepLimit int64 = 64 << 20
 type planEntry struct {
 	plan   *static.Plan // nil when the kernel declined analysis
 	reason string       // decline reason when plan is nil
-	indep  bool         // work-groups provably independent (parallel ok)
 }
 
 // planFor returns f's static analysis, computed once per function and
@@ -46,7 +41,7 @@ func planFor(f *ir.Func) *planEntry {
 }
 
 func buildPlan(f *ir.Func) any {
-	e := &planEntry{indep: groupIndependent(f)}
+	e := &planEntry{}
 	plan, err := static.Analyze(f, static.Options{
 		KnownCall:   KnownBuiltin,
 		KnownAtomic: KnownAtomic,
@@ -66,44 +61,37 @@ func StaticAnalyzable(f *ir.Func) (bool, string) {
 	return e.plan != nil, e.reason
 }
 
-// profileDispatch tries the profiling paths cheapest-first.
-func profileDispatch(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, error) {
-	sample := sampleFor(cfg, maxGroups, spread)
-	e := planFor(f)
-	if e.plan != nil {
-		prof, err := runPlan(e.plan, cfg, sample)
+// profileDispatch tries the profiling paths cheapest-first, streaming
+// each completed group to sink.
+func profileDispatch(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
+	if e := planFor(f); e.plan != nil {
+		prof, err := runPlan(e.plan, cfg, sample, sink)
 		if err == nil {
 			obs.Global().Counter("profile_static_total", "").Inc()
-			prof.Source = SourceStatic
 			return prof, nil
 		}
 		// The launch faults. Rerun on the interpreter so the error and
 		// the partial profile are byte-identical to the reference path
 		// (the slice executor has not touched the buffers, so the rerun
-		// starts from the same state).
+		// starts from the same state). The rerun streams from ordinal 0
+		// again, which tells sink to drop what the faulting run streamed.
 	}
 	obs.Global().Counter("profile_interp_total", "").Inc()
-	prof, src, err := interpProfile(f, cfg, sample, runtime.GOMAXPROCS(0), e.indep)
-	if prof != nil {
-		prof.Source = src
-	}
-	return prof, err
+	return execute(f, cfg, sample, sink)
 }
 
-// InterpProfile profiles f with the interpreter, bypassing the static
-// fast path: workers > 1 executes independent work-groups in parallel
-// (sequential when the kernel's groups may communicate). Exported so
-// tests and benchmarks can pin the path and the worker count; callers
-// wanting the fast path use ProfileKernel/ProfileKernelSpread.
-func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool, workers int) (*Profile, error) {
+// InterpProfile profiles f with the sequential interpreter, bypassing
+// the static fast path. Exported so tests and benchmarks can pin the
+// path; callers wanting the fast path use ProfileKernel/
+// ProfileKernelSpread.
+func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, error) {
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	prof, src, err := interpProfile(f, cfg, sampleFor(cfg, maxGroups, spread), workers, groupIndependent(f))
-	if prof != nil {
-		prof.Source = src
-	}
-	return prof, err
+	sample := sampleFor(cfg, maxGroups, spread)
+	return materialize(func(sink GroupSink) (*Profile, error) {
+		return execute(f, cfg, sample, sink)
+	})
 }
 
 // StaticProfile profiles f using only the static slice executor. ok
@@ -117,21 +105,11 @@ func StaticProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profil
 	if e.plan == nil {
 		return nil, false, nil
 	}
-	prof, err := runPlan(e.plan, cfg, sampleFor(cfg, maxGroups, spread))
-	if prof != nil {
-		prof.Source = SourceStatic
-	}
+	sample := sampleFor(cfg, maxGroups, spread)
+	prof, err := materialize(func(sink GroupSink) (*Profile, error) {
+		return runPlan(e.plan, cfg, sample, sink)
+	})
 	return prof, true, err
-}
-
-func interpProfile(f *ir.Func, cfg *Config, sample groupSample, workers int, indep bool) (*Profile, Source, error) {
-	if workers > 1 && indep {
-		if prof, ok, err := executeParallel(f, cfg, sample, workers); ok {
-			return prof, SourceInterpParallel, err
-		}
-	}
-	prof, err := execute(f, cfg, sample, true)
-	return prof, SourceInterp, err
 }
 
 // Diff compares two profiles field for field (Source excluded: it
@@ -290,17 +268,24 @@ type planExec struct {
 
 	group, local, global [3]int64
 
-	regs     []Val
-	tracked  [][]Val // cell slices, for the per-work-item reset
-	counts   []int64 // per-block visit counts of the current work-item
-	gCounts  []float64
+	regs    []Val
+	tracked [][]Val // cell slices, for the per-work-item reset
+	counts  []int64 // per-block visit counts of the current work-item
+	gCounts []float64
+
+	// The current group's global accesses, all work-items back to back in
+	// one buffer reused by every group; ends[i] is where work-item i's
+	// trace ends and wis views each trace for the sink.
 	accesses []Access
-	accHint  int // trace length of the previous work-item, for preallocation
+	ends     []int
+	wis      [][]Access
+
 	barriers int
 	steps    int64
 }
 
 func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
+	wgSize := nd.WorkGroupSize()
 	x := &planExec{
 		plan:    p,
 		cfg:     cfg,
@@ -308,6 +293,8 @@ func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
 		regs:    make([]Val, p.NumRegs),
 		counts:  make([]int64, len(p.Fn.Blocks)),
 		gCounts: make([]float64, len(p.Fn.Blocks)),
+		ends:    make([]int, wgSize),
+		wis:     make([][]Access, wgSize),
 	}
 	cells := make(map[*ir.Alloca][]Val, len(p.TrackedAllocas))
 	for a := range p.TrackedAllocas {
@@ -449,10 +436,10 @@ func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planSte
 // runPlan profiles the sampled work-groups of a launch by executing
 // only the plan's slice, reproducing the interpreter's group and
 // work-item iteration order, trace emission, bounds checks and profile
-// accumulation exactly. Buffers are never mutated.
-func runPlan(p *static.Plan, cfg *Config, sample groupSample) (*Profile, error) {
+// accumulation exactly, and hands each completed group's traces to sink
+// (when non-nil). Buffers are never mutated.
+func runPlan(p *static.Plan, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
 	nd := cfg.Range.Normalize()
-	groups := nd.NumGroups()
 	if nd.WorkGroupSize() <= 0 {
 		return nil, fmt.Errorf("interp: empty work-group")
 	}
@@ -460,33 +447,32 @@ func runPlan(p *static.Plan, cfg *Config, sample groupSample) (*Profile, error) 
 		return nil, err
 	}
 
-	prof := &Profile{BlockCounts: make(map[*ir.Block]float64)}
+	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Source: SourceStatic}
 	x := newPlanExec(p, cfg, nd)
-
-	gid := int64(0)
-loop:
-	for gz := int64(0); gz < groups[2]; gz++ {
-		for gy := int64(0); gy < groups[1]; gy++ {
-			for gx := int64(0); gx < groups[0]; gx++ {
-				if sample.last >= 0 && gid > sample.last {
-					break loop
-				}
-				if sample.sel(gid) {
-					if err := x.runGroup([3]int64{gx, gy, gz}, prof); err != nil {
-						return prof, err
-					}
-				}
-				gid++
-			}
+	err := sample.each(nd, func(ord int, group [3]int64) error {
+		if err := x.runGroup(group, prof); err != nil {
+			return err
 		}
+		if sink != nil {
+			lo := 0
+			for i, hi := range x.ends {
+				x.wis[i] = x.accesses[lo:hi:hi]
+				lo = hi
+			}
+			sink(ord, x.wis)
+		}
+		return nil
+	})
+	if err != nil {
+		return prof, err
 	}
 	finalizeProfile(prof)
 	return prof, nil
 }
 
-// runGroup executes every work-item of one group. Like the
-// interpreter, a group contributes to the profile only when every one
-// of its work-items completes.
+// runGroup executes every work-item of one group, leaving their traces
+// in x.accesses. Like the interpreter, a group contributes to the
+// profile only when every one of its work-items completes.
 func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 	x.group = group
 	nd := x.nd
@@ -497,7 +483,7 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 	for i := range x.gCounts {
 		x.gCounts[i] = 0
 	}
-	var gTraces [][]Access
+	x.accesses = x.accesses[:0]
 
 	for lz := int64(0); lz < nd.Local[2]; lz++ {
 		for ly := int64(0); ly < nd.Local[1]; ly++ {
@@ -511,6 +497,15 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 				if err := x.runWI(); err != nil {
 					return err
 				}
+				if gWIs == 0 {
+					// The work-items of one kernel trace near-identical
+					// access counts: size the buffer for the whole group
+					// from the first, instead of growing it by appends.
+					if want := len(x.accesses) * len(x.ends); cap(x.accesses) < want {
+						x.accesses = append(make([]Access, 0, want), x.accesses...)
+					}
+				}
+				x.ends[gWIs] = len(x.accesses)
 				gWIs++
 				for bi, c := range x.counts {
 					if c != 0 {
@@ -518,9 +513,6 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 					}
 				}
 				gBarriers += float64(x.barriers)
-				x.accHint = len(x.accesses)
-				gTraces = append(gTraces, x.accesses)
-				x.accesses = nil // ownership moved to the trace
 			}
 		}
 	}
@@ -532,11 +524,11 @@ func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
 		}
 	}
 	prof.Barriers += gBarriers
-	prof.Traces = append(prof.Traces, gTraces...)
 	return nil
 }
 
-// runWI executes the slice for one work-item.
+// runWI executes the slice for one work-item, appending its global
+// accesses to x.accesses.
 func (x *planExec) runWI() error {
 	for i := range x.regs {
 		x.regs[i] = Val{}
@@ -551,16 +543,6 @@ func (x *planExec) runWI() error {
 	}
 	x.barriers = 0
 	x.steps = 0
-	// Preallocate the trace at the previous work-item's length — the
-	// work-items of one kernel trace near-identical access counts, so
-	// this removes the append-growth reallocations. A work-item with no
-	// accesses still Diff-equals the interpreter's nil trace: profile
-	// comparison is by length and elements.
-	if x.accHint > 0 {
-		x.accesses = make([]Access, 0, x.accHint)
-	} else {
-		x.accesses = nil
-	}
 
 	bp := x.entry
 	for {

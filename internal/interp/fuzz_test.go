@@ -89,7 +89,7 @@ func FuzzAffineAnalyzer(f *testing.F) {
 			if sok != ok {
 				t.Errorf("%s: Analyzable=%v but StaticProfile ok=%v", kf.Name, ok, sok)
 			}
-			ip, ierr := interp.InterpProfile(kf, fuzzConfig(kf), 2, false, 1)
+			ip, ierr := interp.InterpProfile(kf, fuzzConfig(kf), 2, false)
 			if !sok {
 				continue // interpreter-only kernel: reaching here without a panic is the invariant
 			}

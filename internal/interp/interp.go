@@ -8,6 +8,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -122,7 +123,10 @@ type Profile struct {
 	// work-item (the trip-count information of §3.2).
 	BlockCounts map[*ir.Block]float64
 	// Traces holds the per-work-item global access sequences, in
-	// work-item issue order within each profiled group.
+	// work-item issue order within each profiled group. Only the
+	// materializing entry points (ProfileKernel, ProfileKernelSpread,
+	// StaticProfile, InterpProfile) fill it; ProfileStream hands each
+	// group's traces to its sink instead and leaves Traces nil.
 	Traces [][]Access
 	// WorkItems is the number of profiled work-items.
 	WorkItems int
@@ -136,9 +140,16 @@ type Profile struct {
 // Run executes every work-group of the kernel, mutating the buffers.
 // It returns an execution error (bad memory access, missing argument).
 func Run(f *ir.Func, cfg *Config) error {
-	_, err := execute(f, cfg, prefixSample(-1), false)
+	_, err := execute(f, cfg, prefixSample(-1), nil)
 	return err
 }
+
+// GroupSink receives one profiled work-group's global-memory traces,
+// one slice per work-item in work-item issue order, as soon as every
+// work-item of the group has completed. ord numbers the sampled groups
+// in dispatch order from 0. The slices are reused once the sink
+// returns, so a sink that keeps them must copy.
+type GroupSink func(ord int, wis [][]Access)
 
 // ProfileKernel collects trip counts and global-memory traces for up to
 // maxGroups work-groups (default 2). The profiled groups are the first
@@ -147,15 +158,27 @@ func Run(f *ir.Func, cfg *Config) error {
 //
 // The profile is produced by the cheapest path that yields the exact
 // interpreted result (see fastpath.go): the static slice executor when
-// the kernel analyzes, else the interpreter with parallel work-group
-// execution when groups are provably independent, else the sequential
-// interpreter. Profile.Source records the path taken. Buffers are
-// mutated only on the interpreted paths.
+// the kernel analyzes, else the sequential interpreter. Profile.Source
+// records the path taken. Buffers are mutated only on the interpreted
+// path.
 func ProfileKernel(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
+	return materialize(func(sink GroupSink) (*Profile, error) {
+		return ProfileStream(f, cfg, maxGroups, sink)
+	})
+}
+
+// ProfileStream is ProfileKernel that streams the memory traces instead
+// of materializing them: each profiled work-group's traces go to sink
+// (when non-nil) as the group completes, and the returned profile's
+// Traces is nil. When the static executor faults, the dispatcher reruns
+// the launch on the interpreter, which streams again from ordinal 0: a
+// sink must treat ordinal 0 as a fresh start, so the rerun replaces what
+// the faulting run streamed instead of adding to it.
+func ProfileStream(f *ir.Func, cfg *Config, maxGroups int, sink GroupSink) (*Profile, error) {
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	return profileDispatch(f, cfg, maxGroups, false)
+	return profileDispatch(f, cfg, sampleFor(cfg, maxGroups, false), sink)
 }
 
 // ProfileKernelSpread is ProfileKernel with representative sampling:
@@ -166,13 +189,37 @@ func ProfileKernel(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
 // the analytical model deliberately keeps the paper's prefix sampling.
 // Work-groups of one launch are independent (OpenCL offers no
 // inter-group ordering), so any subset is as valid to execute as a
-// prefix. Buffers are mutated only on the interpreted paths (see
+// prefix. Buffers are mutated only on the interpreted path (see
 // ProfileKernel).
 func ProfileKernelSpread(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
 	if maxGroups <= 0 {
 		maxGroups = 2
 	}
-	return profileDispatch(f, cfg, maxGroups, true)
+	sample := sampleFor(cfg, maxGroups, true)
+	return materialize(func(sink GroupSink) (*Profile, error) {
+		return profileDispatch(f, cfg, sample, sink)
+	})
+}
+
+// materialize runs a streaming profile with a sink that keeps a copy of
+// every group's traces and returns them as Profile.Traces. A rerun
+// restarts at ordinal 0 and replaces what the run before it kept; a
+// rerun that faults in its first group streams nothing, so the kept
+// traces are cut to the work-items the returned profile counts.
+func materialize(run func(GroupSink) (*Profile, error)) (*Profile, error) {
+	var kept [][]Access
+	prof, err := run(func(ord int, wis [][]Access) {
+		if ord == 0 {
+			kept = kept[:0]
+		}
+		for _, tr := range wis {
+			kept = append(kept, slices.Clone(tr))
+		}
+	})
+	if prof != nil {
+		prof.Traces = kept[:prof.WorkItems]
+	}
+	return prof, err
 }
 
 // sampleFor builds the group sample of a profiling run: the prefix of
@@ -209,15 +256,42 @@ func prefixSample(n int) groupSample {
 	return groupSample{sel: func(gid int64) bool { return gid < int64(n) }, last: int64(n) - 1}
 }
 
+// each calls fn with the ordinal and group coordinates of every sampled
+// work-group of nd, in dispatch order, stopping at fn's first error.
+func (s groupSample) each(nd NDRange, fn func(ord int, group [3]int64) error) error {
+	groups := nd.NumGroups()
+	gid := int64(0)
+	ord := 0
+	for gz := int64(0); gz < groups[2]; gz++ {
+		for gy := int64(0); gy < groups[1]; gy++ {
+			for gx := int64(0); gx < groups[0]; gx++ {
+				if s.last >= 0 && gid > s.last {
+					return nil
+				}
+				if s.sel(gid) {
+					if err := fn(ord, [3]int64{gx, gy, gz}); err != nil {
+						return err
+					}
+					ord++
+				}
+				gid++
+			}
+		}
+	}
+	return nil
+}
+
 // errGroupAborted marks work-items unwound because a peer died.
 var errGroupAborted = errors.New("interp: work-group aborted after a peer error")
 
 // execError aborts a work-item with a diagnostic.
 type execError struct{ err error }
 
-func execute(f *ir.Func, cfg *Config, sample groupSample, trace bool) (*Profile, error) {
+// execute interprets the sampled work-groups one after another. With a
+// non-nil sink it traces global accesses and hands each completed
+// group's traces to the sink; a faulting group is not handed over.
+func execute(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
 	nd := cfg.Range.Normalize()
-	groups := nd.NumGroups()
 	wgSize := nd.WorkGroupSize()
 	if wgSize <= 0 {
 		return nil, fmt.Errorf("interp: empty work-group")
@@ -226,25 +300,24 @@ func execute(f *ir.Func, cfg *Config, sample groupSample, trace bool) (*Profile,
 		return nil, err
 	}
 
-	prof := &Profile{BlockCounts: make(map[*ir.Block]float64)}
-	var mu sync.Mutex // guards prof and atomics
-
-	gid := int64(0)
-loop:
-	for gz := int64(0); gz < groups[2]; gz++ {
-		for gy := int64(0); gy < groups[1]; gy++ {
-			for gx := int64(0); gx < groups[0]; gx++ {
-				if sample.last >= 0 && gid > sample.last {
-					break loop
-				}
-				if sample.sel(gid) {
-					if err := runGroup(f, cfg, nd, [3]int64{gx, gy, gz}, trace, prof, &mu); err != nil {
-						return prof, err
-					}
-				}
-				gid++
-			}
+	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Source: SourceInterp}
+	var mu sync.Mutex // guards atomics
+	var traces [][]Access
+	if sink != nil {
+		// One trace buffer per work-item slot, reused by every group.
+		traces = make([][]Access, wgSize)
+	}
+	err := sample.each(nd, func(ord int, group [3]int64) error {
+		if err := runGroup(f, cfg, nd, group, traces, prof, &mu); err != nil {
+			return err
 		}
+		if sink != nil {
+			sink(ord, traces)
+		}
+		return nil
+	})
+	if err != nil {
+		return prof, err
 	}
 	finalizeProfile(prof)
 	return prof, nil
@@ -315,7 +388,11 @@ func (b *wgBarrier) wait() bool {
 	return b.n > 0
 }
 
-func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
+// runGroup interprets one work-group, one goroutine per work-item. A
+// non-nil traces has one buffer per work-item slot: each work-item
+// appends its global accesses to its slot's buffer, truncated first.
+// The group contributes to prof only when every work-item completes.
+func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, traces [][]Access,
 	prof *Profile, mu *sync.Mutex) error {
 
 	wgSize := nd.WorkGroupSize()
@@ -343,9 +420,12 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
 				w := &wiState{
 					f: f, cfg: cfg, nd: nd, group: group,
 					local: [3]int64{lx, ly, lz}, global: gid,
-					locals: locals, bar: bar, trace: trace,
+					locals: locals, bar: bar, trace: traces != nil,
 					blockCounts: make(map[*ir.Block]int64),
 					mu:          mu,
+				}
+				if w.trace {
+					w.accesses = traces[len(wis)][:0]
 				}
 				wis = append(wis, w)
 			}
@@ -373,8 +453,6 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
 	}
 	wg.Wait()
 
-	mu.Lock()
-	defer mu.Unlock()
 	// Report the root cause, not the induced group-abort unwinds.
 	var aborted error
 	for _, w := range wis {
@@ -389,14 +467,14 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, trace bool,
 	if aborted != nil {
 		return aborted
 	}
-	for _, w := range wis {
+	for i, w := range wis {
 		prof.WorkItems++
 		for b, c := range w.blockCounts {
 			prof.BlockCounts[b] += float64(c)
 		}
 		prof.Barriers += float64(w.barriers)
-		if trace {
-			prof.Traces = append(prof.Traces, w.accesses)
+		if w.trace {
+			traces[i] = w.accesses
 		}
 	}
 	return nil

@@ -1,9 +1,7 @@
 // Corpus-wide differential harness: for every bundled and generated
 // kernel whose profile the static analyzer claims, the static profile
-// must be field-for-field identical to the interpreter's — and the
-// interpreter itself must produce the same profile at every worker
-// count, pinning parallel-execution determinism. The package is
-// interp_test (not interp) because the corpus lives in bench, which
+// must be field-for-field identical to the interpreter's. The package
+// is interp_test (not interp) because the corpus lives in bench, which
 // imports interp.
 package interp_test
 
@@ -42,14 +40,12 @@ func TestStaticVsInterpCorpus(t *testing.T) {
 					t.Fatalf("static profile (spread=%v): %v", spread, err)
 				}
 				// Fresh Config per run: the interpreter mutates buffers.
-				for _, workers := range []int{1, 2, 4, 8} {
-					ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread, workers)
-					if err != nil {
-						t.Fatalf("interp profile (spread=%v, workers=%d): %v", spread, workers, err)
-					}
-					if d := sp.Diff(ip); d != "" {
-						t.Fatalf("static != interp (spread=%v, workers=%d): %s", spread, workers, d)
-					}
+				ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread)
+				if err != nil {
+					t.Fatalf("interp profile (spread=%v): %v", spread, err)
+				}
+				if d := sp.Diff(ip); d != "" {
+					t.Fatalf("static != interp (spread=%v): %s", spread, d)
 				}
 			}
 		})

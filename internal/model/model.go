@@ -130,7 +130,7 @@ func (a *Analysis) totals() sched.FuncTotals {
 // AnalysisOptions tunes Analyze.
 type AnalysisOptions struct {
 	// ProfileGroups is how many work-groups the dynamic profiler runs
-	// (§3.2: "only a few work-groups are profiled"). Default 2.
+	// (§3.2: "only a few work-groups are profiled"). Default 8.
 	ProfileGroups int
 	// DRAMSamples sets the micro-benchmark length for pattern profiling.
 	DRAMSamples int
@@ -141,7 +141,11 @@ type AnalysisOptions struct {
 // Analyze runs FlexCL's kernel analysis (§3.2) for one kernel and launch
 // configuration: dynamic profiling for trip counts and the memory trace,
 // plus device micro-benchmark profiling. The interp buffers are copies of
-// workload inputs and are mutated.
+// workload inputs and are mutated. The memory trace is never
+// materialized: the profiler hands each profiled work-group's traces to
+// a trace.Stream, which coalesces and classifies them as they arrive, so
+// the "profile" span covers that classification and "memtrace" the final
+// reduction to per-work-item averages.
 //
 // ctx bounds the analysis: cancellation or an expired deadline is
 // honored at each stage boundary (before profiling, before trace
@@ -167,7 +171,9 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	}
 	f.EnsureLoops()
 	_, psp := telemetry.Start(ctx, "profile")
-	prof, err := interp.ProfileKernel(f, cfg, opts.ProfileGroups)
+	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
+	stream := trace.NewStream(layout, p.DRAM, p.MemAccessUnitBits/8)
+	prof, err := interp.ProfileStream(f, cfg, opts.ProfileGroups, stream.Group)
 	if prof != nil {
 		psp.Annotate("source", string(prof.Source))
 	}
@@ -180,9 +186,8 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
 	}
 	_, msp := telemetry.Start(ctx, "memtrace")
-	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
+	cls := stream.Classified()
 	nd := cfg.Range.Normalize()
-	cls := trace.ClassifyGrouped(prof.Traces, nd.WorkGroupSize(), layout, p.DRAM, p.MemAccessUnitBits/8)
 	msp.Annotate("bursts_per_wi", fmt.Sprintf("%.3f", cls.BurstsPerWI))
 	msp.End()
 	if err := ctx.Err(); err != nil {

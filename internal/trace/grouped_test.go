@@ -1,32 +1,33 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/interp"
 )
 
-func TestInterleaveWGColumnMajor(t *testing.T) {
+func TestWGBurstsColumnMajor(t *testing.T) {
+	// Work-item i reads a[i] then a[64+i]. In program order no two
+	// consecutive accesses are contiguous (32 bursts); in pipeline issue
+	// order the first accesses of all 16 work-items form one 64-byte run
+	// and the second ones another: 2 bursts.
 	k := compileKernel(t, `__kernel void k(__global float* a) { a[0] = 1.0f; }`, "k")
+	p := device.Virtex7().DRAM
+	l := NewLayout(k, map[string]int64{"a": 1024}, p)
 	prm := k.GlobalParams()[0]
-	mk := func(idx ...int64) []interp.Access {
-		var out []interp.Access
-		for _, i := range idx {
-			out = append(out, interp.Access{Param: prm, Index: i, Bytes: 4})
+	traces := make([][]interp.Access, 16)
+	for wi := range traces {
+		traces[wi] = []interp.Access{
+			{Param: prm, Index: int64(wi), Bytes: 4},
+			{Param: prm, Index: int64(64 + wi), Bytes: 4},
 		}
-		return out
 	}
-	traces := [][]interp.Access{mk(0, 10), mk(1, 11), mk(2)}
-	got := InterleaveWG(traces)
-	wantIdx := []int64{0, 1, 2, 10, 11}
-	if len(got) != len(wantIdx) {
-		t.Fatalf("len = %d, want %d", len(got), len(wantIdx))
-	}
-	for i, w := range wantIdx {
-		if got[i].Index != w {
-			t.Errorf("pos %d: index %d, want %d", i, got[i].Index, w)
-		}
+	groups := WGBursts(traces, 16, l, 64)
+	want := []Burst{{Addr: 0}, {Addr: 256}}
+	if len(groups) != 1 || !slices.Equal(groups[0], want) {
+		t.Fatalf("bursts = %v, want one group %v", groups, want)
 	}
 }
 
@@ -42,7 +43,7 @@ func TestGroupedCoalescingAcrossWorkItems(t *testing.T) {
 	for wi := range traces {
 		traces[wi] = []interp.Access{{Param: prm, Index: int64(wi), Bytes: 4}}
 	}
-	perWI := Classify(traces, l, p, 64)
+	perWI := ClassifyGrouped(traces, 1, l, p, 64)
 	grouped := ClassifyGrouped(traces, 16, l, p, 64)
 	if perWI.BurstsPerWI != 1 {
 		t.Errorf("per-WI coalescing: %v bursts/WI, want 1", perWI.BurstsPerWI)
@@ -94,5 +95,47 @@ func TestGroupedPatternCountsSumToBursts(t *testing.T) {
 	}
 	if c.Reads+c.Writes != c.BurstsPerWI {
 		t.Errorf("reads+writes (%v) != bursts (%v)", c.Reads+c.Writes, c.BurstsPerWI)
+	}
+}
+
+func TestStreamRestartsAtOrdinalZero(t *testing.T) {
+	k := compileKernel(t, `__kernel void k(__global float* a) { a[0] = 1.0f; }`, "k")
+	p := device.Virtex7().DRAM
+	l := NewLayout(k, map[string]int64{"a": 65536}, p)
+	prm := k.GlobalParams()[0]
+	group := func(first int64, write bool) [][]interp.Access {
+		wis := make([][]interp.Access, 16)
+		for wi := range wis {
+			wis[wi] = []interp.Access{{Param: prm, Index: first + int64(wi)*64, Bytes: 4, Write: write}}
+		}
+		return wis
+	}
+	// An earlier run streams two groups of writes to rows far from the
+	// one group of reads the rerun streams.
+	earlier := [][][]interp.Access{group(8192, true), group(8200, true)}
+	rerun := group(0, false)
+
+	fresh := NewStream(l, p, 64)
+	fresh.Group(0, rerun)
+	want := fresh.Classified()
+
+	restarted := NewStream(l, p, 64)
+	for ord, wis := range earlier {
+		restarted.Group(ord, wis)
+	}
+	restarted.Group(0, rerun)
+	if d := restarted.Classified().Diff(want); d != "" {
+		t.Errorf("restarted stream != fresh stream: %s", d)
+	}
+
+	// The carried state is observable: appending the rerun instead of
+	// restarting changes the result.
+	appended := NewStream(l, p, 64)
+	for ord, wis := range earlier {
+		appended.Group(ord, wis)
+	}
+	appended.Group(len(earlier), rerun)
+	if appended.Classified().Diff(want) == "" {
+		t.Error("appending a group classified like a fresh stream: the test cannot see a missed restart")
 	}
 }

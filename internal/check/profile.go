@@ -2,7 +2,9 @@ package check
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -21,7 +23,11 @@ import (
 // changing a single downstream model estimate. For every kernel, the
 // memory classification model.Analyze streams out of the profiler must
 // be bitwise the one trace.ClassifyGrouped computes from the
-// materialized traces. Corpus-wide the analyzer must claim at least
+// materialized traces. For every kernel whose WG sizes compile to the
+// same code, the analyses model.AnalyzeSweep builds from one shared
+// profile must be bitwise the per-WG model.Analyze ones, and a shared
+// run may fault only where the largest WG size faults on its own.
+// Corpus-wide the analyzer must claim at least
 // profileMinStaticFraction of the PolyBench suite, the regular
 // workloads the fast path exists for.
 const FamilyProfile = "profile"
@@ -48,6 +54,8 @@ type profileAudit struct {
 	prefixDiff string // static vs interp, prefix sampling
 	spreadDiff string // static vs interp, spread sampling
 	streamDiff string // model.Analyze's streamed analysis vs materialized traces
+	sweepDiff  string // model.AnalyzeSweep vs per-WG model.Analyze
+	shared     bool   // the sweep shared one profile over every WG size
 }
 
 // profileKernelFindings turns one kernel's audit into findings.
@@ -72,6 +80,14 @@ func profileKernelFindings(a profileAudit) (findings []Finding, checks int) {
 	if a.streamDiff != "" {
 		fail("stream-equals-materialized",
 			"model.Analyze equals ClassifyGrouped over ProfileKernel's traces", a.streamDiff)
+	}
+
+	// Sharing one profile over the WG sweep must not change any size's
+	// analysis.
+	checks++
+	if a.sweepDiff != "" {
+		fail("sweep-equals-per-wg",
+			"model.AnalyzeSweep equals model.Analyze at every WG size", a.sweepDiff)
 	}
 
 	if !a.analyzable {
@@ -132,7 +148,59 @@ func profileAuditKernel(ctx context.Context, k *bench.Kernel, p *device.Platform
 	}
 
 	a.streamDiff = streamVsMaterialized(ctx, f, k, p)
+	a.shared, a.sweepDiff = sweepVsPerWG(ctx, k, p)
 	return a, nil
+}
+
+// sweepWorkers splits the shared run of sweepVsPerWG, so the check also
+// covers the hand-off between goroutines.
+const sweepWorkers = 2
+
+// sweepVsPerWG compares model.AnalyzeSweep, which profiles every WG
+// size of k with one run, against model.Analyze at each size, bitwise
+// (Analysis.Diff). A shared run that faults must fault where the
+// largest size, whose profiled work-groups it executes, faults on its
+// own. It reports whether the sweep shared the profile and describes
+// the first difference, or returns "" — also when the sizes compile to
+// different code or the sweep declines, where per-WG is the only path.
+func sweepVsPerWG(ctx context.Context, k *bench.Kernel, p *device.Platform) (bool, string) {
+	wgs := k.WGSizes()
+	slices.Reverse(wgs) // largest first, as the prep cache fills a sweep
+	if len(wgs) < 2 {
+		return false, ""
+	}
+	fs := make([]*ir.Func, len(wgs))
+	locals := make([][3]int64, len(wgs))
+	for i, wg := range wgs {
+		f, err := k.Compile(wg)
+		if err != nil {
+			return false, ""
+		}
+		if fs[i], locals[i] = f, k.Local(wg); !fs[0].SameCode(f) {
+			return false, ""
+		}
+	}
+	opts := model.AnalysisOptions{ProfileGroups: profileGroups}
+	ans, err := model.AnalyzeSweep(ctx, fs[0], p, k.Config(wgs[0]), locals, opts, sweepWorkers)
+	if errors.Is(err, interp.ErrNotShareable) {
+		return false, ""
+	}
+	if err != nil {
+		if _, rerr := model.Analyze(ctx, fs[0], p, k.Config(wgs[0]), opts); rerr == nil {
+			return false, fmt.Sprintf("shared run faults (%v), wg %d analyzes", err, wgs[0])
+		}
+		return false, ""
+	}
+	for i, wg := range wgs {
+		ref, rerr := model.Analyze(ctx, fs[i], p, k.Config(wg), opts)
+		if rerr != nil {
+			return true, fmt.Sprintf("wg %d: shared run succeeds, per-WG fails: %v", wg, rerr)
+		}
+		if d := ans[i].Diff(ref); d != "" {
+			return true, fmt.Sprintf("wg %d: %s", wg, d)
+		}
+	}
+	return true, ""
 }
 
 // streamVsMaterialized compares model.Analyze, which classifies the
@@ -198,11 +266,14 @@ func ProfileFindings(ctx context.Context, kernels []*bench.Kernel, opts Options)
 				polyStatic++
 			}
 		}
-		path := "interp"
+		path, sweep := "interp", "per-wg"
 		if a.analyzable {
 			path = "static"
 		}
-		opts.logf("profile %-28s path %-6s %d findings", k.ID(), path, len(fs))
+		if a.shared {
+			sweep = "shared"
+		}
+		opts.logf("profile %-28s path %-6s sweep %-6s %d findings", k.ID(), path, sweep, len(fs))
 	})
 	if firstErr != nil {
 		return nil, 0, firstErr

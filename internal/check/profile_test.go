@@ -54,6 +54,11 @@ func TestProfileComparatorCatchesMismatches(t *testing.T) {
 			"stream-equals-materialized",
 		},
 		{
+			"sweep-mismatch",
+			profileAudit{kernel: "k", analyzable: true, sweepDiff: "wg 64: Barriers 1 vs 2"},
+			"sweep-equals-per-wg",
+		},
+		{
 			"silent-decline",
 			profileAudit{kernel: "k", analyzable: false},
 			"decline-reason",

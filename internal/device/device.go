@@ -13,6 +13,8 @@ package device
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/opencl/ast"
@@ -460,10 +462,69 @@ func (t *LatencyTable) CoreII(c OpClass) int {
 // class it samples the implementation variants the tool chooses across
 // many synthetic instances and records the mean latency. Deterministic
 // for a given platform.
+//
+// The result is a pure function of the platform's content and samples,
+// so it is computed once per distinct content: every later call for an
+// equal platform, even a separately built one, returns the same table,
+// which callers must not modify.
 func Profile(p *Platform, samples int) *LatencyTable {
 	if samples <= 0 {
 		samples = 256
 	}
+	key := profileKey(p, samples)
+	profiles.mu.Lock()
+	t, ok := profiles.m[string(key)]
+	profiles.mu.Unlock()
+	if ok {
+		return t
+	}
+	t = profile(p, samples)
+	profiles.mu.Lock()
+	defer profiles.mu.Unlock()
+	if cur, ok := profiles.m[string(key)]; ok {
+		return cur
+	}
+	if len(profiles.m) < maxProfiles {
+		profiles.m[string(key)] = t
+	}
+	return t
+}
+
+// profiles memoizes Profile by profileKey. It holds at most maxProfiles
+// tables; beyond that Profile computes without storing.
+var profiles = struct {
+	mu sync.Mutex
+	m  map[string]*LatencyTable
+}{m: make(map[string]*LatencyTable)}
+
+const maxProfiles = 64
+
+// profileKey encodes everything profile reads: the platform's name (the
+// sampling seed), the sample count and each class's implementation
+// descriptor from the unexported op table, so two platforms share a key
+// exactly when they profile to the same table.
+func profileKey(p *Platform, samples int) []byte {
+	b := strconv.AppendInt(nil, int64(samples), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(p.Name)), 10)
+	b = append(b, ':')
+	b = append(b, p.Name...)
+	for c := OpClass(0); c < numClasses; c++ {
+		oi := p.OpInfo(c)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(oi.DSP), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(oi.II), 10)
+		for _, v := range oi.Variants {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+	}
+	return b
+}
+
+// profile computes Profile's table.
+func profile(p *Platform, samples int) *LatencyTable {
 	t := &LatencyTable{}
 	seed := HashString(p.Name)
 	for c := OpClass(0); c < numClasses; c++ {

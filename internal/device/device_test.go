@@ -177,3 +177,25 @@ func TestU250Catalogued(t *testing.T) {
 		t.Error("U250 fmul should be faster (shallower pipeline at higher clock)")
 	}
 }
+
+// TestProfileMemoizedByContent: Profile runs once per platform content.
+// Separately built equal platforms share one table; a platform carrying
+// the same name over a different op table, or another sample count,
+// gets its own, equal to a fresh profiling run.
+func TestProfileMemoizedByContent(t *testing.T) {
+	a := Profile(Virtex7(), 256)
+	if b := Profile(Virtex7(), 256); b != a {
+		t.Error("two Virtex7() values profile to distinct tables")
+	}
+	if *a != *profile(Virtex7(), 256) {
+		t.Error("memoized table differs from a fresh run")
+	}
+	alias := &Platform{Name: Virtex7().Name}
+	got := Profile(alias, 256)
+	if got == a || *got != *profile(alias, 256) {
+		t.Error("a hand-built platform with Virtex-7's name aliases its table")
+	}
+	if Profile(Virtex7(), 128) == a {
+		t.Error("another sample count shares the table")
+	}
+}

@@ -8,6 +8,7 @@ package dram
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/device"
 )
@@ -195,11 +196,45 @@ func (l PatternLatencies) Get(p Pattern) float64 { return l[p] }
 // ProfilePatterns reproduces the micro-benchmark profiling of §3.4: it
 // drives the DRAM simulator with synthetic streams engineered to exercise
 // every pattern and returns the observed average latency of each. The
-// result is deterministic for given parameters and seed.
+// result is deterministic for given parameters and seed, so it is
+// computed once per distinct (parameters, accesses, seed).
 func ProfilePatterns(p device.DRAMParams, accesses int, seed uint64) PatternLatencies {
 	if accesses <= 0 {
 		accesses = 4096
 	}
+	key := patternKey{p: p, accesses: accesses, seed: seed}
+	patterns.mu.Lock()
+	lat, ok := patterns.m[key]
+	patterns.mu.Unlock()
+	if ok {
+		return lat
+	}
+	lat = profilePatterns(p, accesses, seed)
+	patterns.mu.Lock()
+	if len(patterns.m) < maxPatterns {
+		patterns.m[key] = lat
+	}
+	patterns.mu.Unlock()
+	return lat
+}
+
+// patterns memoizes ProfilePatterns. It holds at most maxPatterns
+// results; beyond that ProfilePatterns computes without storing.
+var patterns = struct {
+	mu sync.Mutex
+	m  map[patternKey]PatternLatencies
+}{m: make(map[patternKey]PatternLatencies)}
+
+const maxPatterns = 64
+
+type patternKey struct {
+	p        device.DRAMParams
+	accesses int
+	seed     uint64
+}
+
+// profilePatterns computes ProfilePatterns' latencies.
+func profilePatterns(p device.DRAMParams, accesses int, seed uint64) PatternLatencies {
 	s := NewSim(p)
 	now := int64(0)
 	burst := int64(s.P.BurstBytes)

@@ -43,7 +43,7 @@ func fuzzAnalysis(t testing.TB, k *bench.Kernel, ku bool, wg int64) (*model.Anal
 		cache = NewPrepCache()
 		fuzzPrep.caches[ku] = cache
 	}
-	e, _ := cache.get(context.Background(), k, p, wg)
+	e := cache.get(context.Background(), k, p, wg)
 	if e.err != nil {
 		t.Fatalf("%s wg=%d: %v", k.ID(), wg, e.err)
 	}

@@ -4,7 +4,9 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
@@ -37,6 +39,13 @@ import (
 // and peer-fetched records are persisted back to the store after the
 // waiters are released, so restarts and sibling replicas sharing the
 // directory start warm.
+//
+// A sweep over a kernel's WG sizes (Explore, Search, Analyses) computes
+// its misses together, largest first: when they all compile to the
+// same code and the kernel's profile reads no work-group geometry, one
+// shared profile fills them all (model.AnalyzeSweep), else each size is
+// compiled and analyzed on its own. Entries stay per WG size either
+// way, and so do their artifact records.
 //
 // Completed entries are bounded: beyond Capacity the least recently
 // used completed entry is evicted (in-flight fills never are — that
@@ -224,38 +233,35 @@ func (c *PrepCache) entry(k *bench.Kernel, p *device.Platform, wg int64) (key pr
 	return key, e, false, coalesced
 }
 
-// run fills the entry with a full compile+analyze. It does not close
-// done — fill publishes the entry's fate first, then releases waiters.
+// run fills the entry with a full compile+analyze of one WG size; f,
+// when non-nil, is the kernel already compiled at wg. It does not close
+// done — publish settles the entry's fate first, then releases waiters.
 // Callers must pass a context that cannot be cancelled
 // (context.WithoutCancel of the request, or context.Background()): the
 // entry is shared, so one impatient request must not poison the fill
 // every coalesced waiter (and the retry after a 504) depends on. The
 // context still carries the creating request's trace, so the compile
 // and model-analysis spans attach to it.
-func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64, hook func(*bench.Kernel, int64) error) {
+func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64, f *ir.Func) {
 	t0 := time.Now()
-	if hook != nil {
-		if err := hook(k, wg); err != nil {
+	if f == nil {
+		_, csp := telemetry.Start(ctx, "compile")
+		csp.Annotate("kernel", k.ID())
+		csp.Annotate("wg", fmt.Sprint(wg))
+		var err error
+		if f, err = k.Compile(wg); err != nil {
+			csp.Annotate("error", err.Error())
+			csp.End()
 			e.err = err
 			return
 		}
-	}
-	_, csp := telemetry.Start(ctx, "compile")
-	csp.Annotate("kernel", k.ID())
-	csp.Annotate("wg", fmt.Sprint(wg))
-	f, err := k.Compile(wg)
-	if err != nil {
-		csp.Annotate("error", err.Error())
+		// Freeze the loop analysis now, while this entry is still
+		// exclusive: afterwards the function is shared read-only by
+		// every concurrent Predict and Simulate.
+		f.EnsureLoops()
 		csp.End()
-		e.err = err
-		return
 	}
-	// Freeze the loop analysis now, while this entry is still
-	// exclusive: afterwards the function is shared read-only by
-	// every concurrent Predict and Simulate.
-	f.EnsureLoops()
-	csp.End()
-	an, err := model.Analyze(ctx, f, p, k.Config(wg), model.AnalysisOptions{ProfileGroups: 8})
+	an, err := model.Analyze(ctx, f, p, k.Config(wg), model.AnalysisOptions{ProfileGroups: profileGroups})
 	if err != nil {
 		e.err = fmt.Errorf("dse %s wg=%d: %w", k.ID(), wg, err)
 		return
@@ -263,6 +269,9 @@ func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform
 	e.f, e.an = f, an
 	e.dur = time.Since(t0)
 }
+
+// profileGroups is how many work-groups every fill profiles.
+const profileGroups = 8
 
 // restore attempts the disk tier: load the record, recompile the
 // kernel (cheap and deterministic — no interpreter run) and re-attach
@@ -310,70 +319,186 @@ func (c *PrepCache) attach(ctx context.Context, span string, e *prepEntry, rec *
 	return true
 }
 
-// fill completes a freshly created entry: artifact store first, full
-// compute otherwise. The entry's fate is published under the lock
-// before done is closed — error entries leave the map immediately, so
-// the error reaches exactly the requests that coalesced onto this fill
-// and the next request for the key recomputes; successful entries join
-// the completed-LRU (evicting over capacity). Fresh computes are
-// persisted after the waiters are released, so coalesced requests
-// never wait on disk I/O.
-func (c *PrepCache) fill(ctx context.Context, key prepKey, e *prepEntry, k *bench.Kernel, p *device.Platform, wg int64) {
-	if c.restore(ctx, key, e, k, wg, p) {
-		e.src = SourceDisk
-	}
-	if e.src == "" && c.peer != nil {
-		// Cluster tier: when another replica owns this key, fetch its
-		// record instead of duplicating the compile+analyze. A hard
-		// refusal (owner shed) fails the fill for every waiter; an
-		// unreachable owner or an unusable record degrades to the local
-		// compute below.
-		rec, owner, err := c.peer.Fetch(ctx, k, p, wg)
-		switch {
-		case err != nil:
-			e.err = err
-		case rec != nil && c.attach(ctx, "restore", e, rec, k, wg, p):
-			e.src, e.peer = SourcePeer, owner
+// fillJob is one entry this caller created and must fill.
+type fillJob struct {
+	key prepKey
+	e   *prepEntry
+	wg  int64
+	f   *ir.Func // the kernel compiled at wg, once a shared attempt compiled it
+}
+
+// fill completes freshly created entries of kernel k: each tries the
+// artifact store, then the peer tier, sharded over workers, and the
+// misses left are computed together (compute).
+func (c *PrepCache) fill(ctx context.Context, k *bench.Kernel, p *device.Platform, jobs []*fillJob, workers int) {
+	settled := make([]bool, len(jobs))
+	runShards(workers, len(jobs), func(i int) {
+		if settled[i] = c.tiers(ctx, k, p, jobs[i]); settled[i] {
+			c.publish(jobs[i:i+1], 1)
+		}
+	})
+	var misses []*fillJob
+	for i, j := range jobs {
+		if !settled[i] {
+			misses = append(misses, j)
 		}
 	}
-	if e.src == "" && e.err == nil {
-		c.mu.Lock()
-		c.stats.Computes++
-		hook := c.testFillHook
-		c.mu.Unlock()
-		e.run(ctx, k, p, wg, hook)
-		e.src = SourceCompute
+	c.compute(ctx, k, p, misses, workers)
+}
+
+// tiers tries to answer j from the artifact store, then from the peer
+// tier, and reports whether either settled it: a restored entry, or a
+// peer refusal recorded as the entry's error.
+func (c *PrepCache) tiers(ctx context.Context, k *bench.Kernel, p *device.Platform, j *fillJob) bool {
+	if c.restore(ctx, j.key, j.e, k, j.wg, p) {
+		j.e.src = SourceDisk
+		return true
 	}
-	// Write-behind: persist fresh computes and peer-fetched records so
-	// the next restart (or a sibling sharing the directory) starts warm.
-	save := e.err == nil && e.src != SourceDisk && c.store != nil
+	if c.peer == nil {
+		return false
+	}
+	// Cluster tier: when another replica owns this key, fetch its record
+	// instead of duplicating the compile+analyze. A hard refusal (owner
+	// shed) fails the fill for every waiter; an unreachable owner or an
+	// unusable record degrades to the local compute.
+	rec, owner, err := c.peer.Fetch(ctx, k, p, j.wg)
+	switch {
+	case err != nil:
+		j.e.err = err
+		return true
+	case rec != nil && c.attach(ctx, "restore", j.e, rec, k, j.wg, p):
+		j.e.src, j.e.peer = SourcePeer, owner
+		return true
+	}
+	return false
+}
+
+// compute fills jobs, misses of kernel k that no tier answered, ordered
+// largest WG size first, and publishes each. Two or more misses first
+// try one shared profile (computeShared); otherwise, or when that
+// declines, each job runs its own compile+analyze, sharded over
+// workers.
+func (c *PrepCache) compute(ctx context.Context, k *bench.Kernel, p *device.Platform, jobs []*fillJob, workers int) {
 	c.mu.Lock()
-	if e.err != nil {
-		// Never negative-cache: drop the entry (if it is still ours)
-		// so the next request for this key starts a fresh fill.
-		if cur, ok := c.m[key]; ok && cur == e {
-			delete(c.m, key)
+	c.stats.Computes += uint64(len(jobs))
+	hook := c.testFillHook
+	c.mu.Unlock()
+	var live []*fillJob
+	for _, j := range jobs {
+		j.e.src = SourceCompute
+		if hook != nil {
+			if err := hook(k, j.wg); err != nil {
+				j.e.err = err
+				c.publish([]*fillJob{j}, 1)
+				continue
+			}
 		}
-	} else {
+		live = append(live, j)
+	}
+	if len(live) > 1 && c.computeShared(ctx, k, p, live, workers) {
+		return
+	}
+	runShards(workers, len(live), func(i int) {
+		j := live[i]
+		j.e.run(ctx, k, p, j.wg, j.f)
+		c.publish([]*fillJob{j}, 1)
+	})
+}
+
+// computeShared fills jobs (two or more misses of k, largest WG size
+// first) from one shared profile and reports whether it did. It
+// compiles every job's WG size; when they all compile to the same code,
+// model.AnalyzeSweep profiles them with one run over the largest size's
+// profiled work-groups, split over workers, on the largest size's
+// buffers. Every entry then holds the largest size's function and a
+// share of the fill's wall time. It returns false, leaving each job its
+// compiled function, when a compile fails, the sizes compile to
+// different code, or the shared run declines or faults: the per-WG
+// fills then reproduce the reference results and errors.
+func (c *PrepCache) computeShared(ctx context.Context, k *bench.Kernel, p *device.Platform, jobs []*fillJob, workers int) bool {
+	t0 := time.Now()
+	_, csp := telemetry.Start(ctx, "compile")
+	csp.Annotate("kernel", k.ID())
+	csp.Annotate("wg_sizes", fmt.Sprint(len(jobs)))
+	var failed atomic.Bool
+	runShards(workers, len(jobs), func(i int) {
+		f, err := k.Compile(jobs[i].wg)
+		if err != nil {
+			failed.Store(true)
+			return
+		}
+		f.EnsureLoops()
+		jobs[i].f = f
+	})
+	csp.End()
+	if failed.Load() {
+		return false
+	}
+	f := jobs[0].f
+	locals := make([][3]int64, len(jobs))
+	for i, j := range jobs {
+		if !f.SameCode(j.f) {
+			return false
+		}
+		locals[i] = k.Local(j.wg)
+	}
+	ans, err := model.AnalyzeSweep(ctx, f, p, k.Config(jobs[0].wg), locals,
+		model.AnalysisOptions{ProfileGroups: profileGroups}, workers)
+	if err != nil {
+		return false
+	}
+	dur := time.Since(t0) / time.Duration(len(jobs))
+	for i, j := range jobs {
+		j.e.f, j.e.an, j.e.dur = f, ans[i], dur
+	}
+	c.publish(jobs, workers)
+	return true
+}
+
+// publish settles filled entries and releases their waiters. Each
+// entry's fate is published under the lock before done is closed: error
+// entries leave the map immediately, so the error reaches exactly the
+// requests that coalesced onto the fill and the next request for the
+// key recomputes; successful entries join the completed-LRU (evicting
+// over capacity). Fresh computes and peer-fetched records are then
+// persisted, sharded over workers, after the waiters are released, so
+// coalesced requests never wait on disk I/O and the next restart (or a
+// sibling sharing the directory) starts warm.
+func (c *PrepCache) publish(jobs []*fillJob, workers int) {
+	var saves []*fillJob
+	c.mu.Lock()
+	for _, j := range jobs {
+		e := j.e
+		if e.err != nil {
+			// Never negative-cache: drop the entry (if it is still ours)
+			// so the next request for this key starts a fresh fill.
+			if cur, ok := c.m[j.key]; ok && cur == e {
+				delete(c.m, j.key)
+			}
+			continue
+		}
 		switch e.src {
 		case SourceDisk:
 			c.stats.DiskHits++
 		case SourcePeer:
 			c.stats.PeerHits++
 		}
-		c.linkCompleted(key)
+		c.linkCompleted(j.key)
+		if e.src != SourceDisk && c.store != nil {
+			saves = append(saves, j)
+		}
 	}
-	if save {
-		// Register the pending write before releasing waiters so a
-		// Flush racing the fill cannot miss it.
-		c.persist.Add(1)
-	}
+	// Register the pending writes before releasing waiters so a Flush
+	// racing the fill cannot miss them.
+	c.persist.Add(len(saves))
 	c.mu.Unlock()
-	close(e.done)
-	if save {
-		defer c.persist.Done()
-		c.store.Save(artifact.New(key.artifactKey(), e.an, e.dur))
+	for _, j := range jobs {
+		close(j.e.done)
 	}
+	runShards(workers, len(saves), func(i int) {
+		defer c.persist.Done()
+		c.store.Save(artifact.New(saves[i].key.artifactKey(), saves[i].e.an, saves[i].e.dur))
+	})
 }
 
 // linkCompleted (mu held) inserts a completed entry into the LRU and
@@ -408,19 +533,52 @@ func (c *PrepCache) Flush() { c.persist.Wait() }
 
 // get returns the prepared entry for one WG size, computing it if this
 // is the first request and blocking (without a deadline) while another
-// goroutine computes it. computed reports whether this call did the
-// work. It is the synchronous path Explore uses; services with request
-// deadlines use AnalysisContext.
-func (c *PrepCache) get(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (e *prepEntry, computed bool) {
+// goroutine computes it. It is the synchronous single-size path behind
+// Analysis; sweeps over every WG size use prepare, and services with
+// request deadlines use AnalysisContext.
+func (c *PrepCache) get(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) *prepEntry {
 	key, e, created, _ := c.entry(k, p, wg)
 	if created {
 		// WithoutCancel: keep the caller's trace attached to the fill's
 		// spans but never let its cancellation poison the shared entry.
-		c.fill(context.WithoutCancel(ctx), key, e, k, p, wg)
-		return e, true
+		c.fill(context.WithoutCancel(ctx), k, p, []*fillJob{{key: key, e: e, wg: wg}}, 1)
+		return e
 	}
 	<-e.done
-	return e, false
+	return e
+}
+
+// prepare is phase 1 of every sweep (Explore, Search and Analyses): it
+// returns the prepared entry of each WG size in wgs, and own[i] reports
+// whether this call filled entries[i]. The entries this call creates
+// are filled together, largest WG size first (fill), so a kernel whose
+// sizes compile to the same code is profiled once. Entries other
+// callers are filling are waited for. The fills run under
+// a detached context, like get's, and always complete, so no coalesced
+// waiter is left behind. err is ctx's error when ctx is done before the
+// sweep starts, else the first failed entry's error in wgs order.
+func (c *PrepCache) prepare(ctx context.Context, k *bench.Kernel, p *device.Platform, wgs []int64, workers int) (entries []*prepEntry, own []bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	entries = make([]*prepEntry, len(wgs))
+	own = make([]bool, len(wgs))
+	var jobs []*fillJob
+	for i := len(wgs) - 1; i >= 0; i-- { // WGSizes ascend: largest first
+		key, e, created, _ := c.entry(k, p, wgs[i])
+		entries[i], own[i] = e, created
+		if created {
+			jobs = append(jobs, &fillJob{key: key, e: e, wg: wgs[i]})
+		}
+	}
+	c.fill(context.WithoutCancel(ctx), k, p, jobs, workers)
+	for _, e := range entries {
+		<-e.done
+		if e.err != nil && err == nil {
+			err = e.err
+		}
+	}
+	return entries, own, err
 }
 
 // AnalysisContext returns the prepared analysis for one WG size,
@@ -456,7 +614,7 @@ func (c *PrepCache) AnalysisContextDetail(ctx context.Context, k *bench.Kernel, 
 	switch {
 	case created:
 		outcome = PrepComputed
-		go c.fill(context.WithoutCancel(ctx), key, e, k, p, wg)
+		go c.fill(context.WithoutCancel(ctx), k, p, []*fillJob{{key: key, e: e, wg: wg}}, 1)
 	case coalesced:
 		outcome = PrepCoalesced
 	}
@@ -474,13 +632,14 @@ func (c *PrepCache) AnalysisContextDetail(ctx context.Context, k *bench.Kernel, 
 // Analyses returns the kernel's per-WG-size analysis map on platform p
 // (the shape HeuristicSearch consumes), computing any missing entries.
 func (c *PrepCache) Analyses(k *bench.Kernel, p *device.Platform) (map[int64]*model.Analysis, error) {
-	out := make(map[int64]*model.Analysis)
-	for _, wg := range k.WGSizes() {
-		e, _ := c.get(context.Background(), k, p, wg)
-		if e.err != nil {
-			return nil, e.err
-		}
-		out[wg] = e.an
+	wgs := k.WGSizes()
+	entries, _, err := c.prepare(context.Background(), k, p, wgs, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int64]*model.Analysis, len(wgs))
+	for i, wg := range wgs {
+		out[wg] = entries[i].an
 	}
 	return out, nil
 }
@@ -489,7 +648,7 @@ func (c *PrepCache) Analyses(k *bench.Kernel, p *device.Platform) (map[int64]*mo
 // caching it on first use. Explore and HeuristicSearch share the same
 // entries; deadline-carrying callers should prefer AnalysisContext.
 func (c *PrepCache) Analysis(k *bench.Kernel, p *device.Platform, wg int64) (*model.Analysis, error) {
-	e, _ := c.get(context.Background(), k, p, wg)
+	e := c.get(context.Background(), k, p, wg)
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -509,10 +668,14 @@ func (c *PrepCache) Cap() int { return c.cap }
 // Stats returns a snapshot of the cache's hit/miss counters. A lookup
 // counts as a miss when it created the entry and a hit when the entry
 // already existed — so an Explore over w WG sizes makes w lookups: w
-// misses on a fresh cache, w hits when a previous exploration filled it. Computes counts actual compile+analyze executions (misses
-// answered by the artifact store instead appear in DiskHits),
-// Coalesced counts lookups that joined a fill still in flight, and
-// Evictions counts completed entries dropped by the capacity bound.
+// misses on a fresh cache, w hits when a previous exploration filled
+// it.
+//
+// Computes counts the entries filled by compile+analyze, one per WG
+// size even when one shared profile fills several (misses answered by
+// the artifact store instead appear in DiskHits). Coalesced counts
+// lookups that joined a fill still in flight, and Evictions counts
+// completed entries dropped by the capacity bound.
 func (c *PrepCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

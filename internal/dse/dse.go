@@ -79,8 +79,10 @@ type Options struct {
 	// PruneInfeasible drops design points whose estimated resource usage
 	// (DSPs, BRAM) exceeds the platform — they could never be placed.
 	PruneInfeasible bool
-	// Workers is the number of goroutines evaluating design points
-	// concurrently. 0 uses runtime.GOMAXPROCS(0); 1 reproduces the
+	// Workers is the number of goroutines preparing WG sizes and
+	// evaluating design points concurrently; they also split the work-items
+	// of each profiled work-group when one shared profile serves every WG
+	// size (see PrepCache). 0 uses runtime.GOMAXPROCS(0); 1 reproduces the
 	// serial exploration. Any worker count produces byte-identical
 	// Points: design points are written into their slot by index.
 	Workers int
@@ -132,30 +134,21 @@ func Explore(ctx context.Context, k *bench.Kernel, opts Options) (*Result, error
 		})
 	}
 
-	// Phase 1: prepare (compile + analyze) every WG size concurrently.
-	// One analysis per work-group size serves every design at that size.
+	// Phase 1: prepare (compile + analyze) every WG size. One analysis
+	// per work-group size serves every design at that size.
 	wgs := k.WGSizes()
-	preps := make([]*prepEntry, len(wgs))
-	var prepNanos int64
 	_, prepSpan := telemetry.Start(ctx, "prep")
 	prepSpan.Annotate("wg_sizes", fmt.Sprint(len(wgs)))
-	runShards(workers, len(wgs), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		e, computed := cache.get(ctx, k, p, wgs[i])
-		if e.err != nil {
-			fail(e.err)
-			return
-		}
-		preps[i] = e
-		if computed {
-			atomic.AddInt64(&prepNanos, int64(e.dur))
-		}
-	})
+	preps, own, err := cache.prepare(ctx, k, p, wgs, workers)
 	prepSpan.End()
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
+	}
+	var prepNanos int64
+	for i, e := range preps {
+		if own[i] {
+			prepNanos += int64(e.dur)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

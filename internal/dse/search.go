@@ -41,10 +41,12 @@ type SearchOptions struct {
 	// Platform is the device model (nil = Virtex-7).
 	Platform *device.Platform
 	// Workers shards the per-WG-size preparation (compile + analyze +
-	// bound derivation) over goroutines; 0 uses GOMAXPROCS. The search
-	// itself sequences its pruning decisions on one goroutine, so the
-	// result — including the exact set of evaluated designs — is
-	// identical at any worker count.
+	// bound derivation) over goroutines, and splits the work-items of
+	// each profiled work-group when one shared profile serves every WG
+	// size (see PrepCache); 0 uses GOMAXPROCS. The search itself
+	// sequences its pruning decisions on one goroutine, so the result —
+	// including the exact set of evaluated designs — is identical at any
+	// worker count.
 	Workers int
 	// Cache shares compiled kernels and analyses with Explore and other
 	// Search calls (nil = private per-call cache).
@@ -250,42 +252,35 @@ func Search(ctx context.Context, k *bench.Kernel, opts SearchOptions) (*SearchRe
 	t0 := time.Now()
 	res := &SearchResult{Kernel: k}
 
-	// Phase 1: prepare every WG size concurrently (shared with Explore
-	// through the cache) and derive its schedule bounds.
+	// Phase 1: prepare every WG size (shared with Explore through the
+	// cache) and derive its schedule bounds.
 	wgs := k.WGSizes()
 	type prep struct {
 		an     *model.Analysis
 		bounds model.DesignBounds
 	}
 	preps := make([]prep, len(wgs))
-	errs := make([]error, len(wgs))
 	peVals := model.PEValues(p.MaxPE)
 	cuVals := model.CUValues(p.MaxCU)
 	var prepNanos int64
 	_, prepSpan := telemetry.Start(ctx, "prep")
 	prepSpan.Annotate("wg_sizes", fmt.Sprint(len(wgs)))
-	runShards(workers, len(wgs), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		e, computed := cache.get(ctx, k, p, wgs[i])
-		if e.err != nil {
-			errs[i] = e.err
-			return
-		}
-		b0 := time.Now()
-		preps[i] = prep{an: e.an, bounds: e.an.DesignBounds(peVals, cuVals)}
-		d := time.Since(b0)
-		if computed {
-			d += e.dur
-		}
-		atomic.AddInt64(&prepNanos, int64(d))
-	})
+	entries, own, err := cache.prepare(ctx, k, p, wgs, workers)
+	if err == nil {
+		runShards(workers, len(wgs), func(i int) {
+			e := entries[i]
+			b0 := time.Now()
+			preps[i] = prep{an: e.an, bounds: e.an.DesignBounds(peVals, cuVals)}
+			d := time.Since(b0)
+			if own[i] {
+				d += e.dur
+			}
+			atomic.AddInt64(&prepNanos, int64(d))
+		})
+	}
 	prepSpan.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -275,7 +275,8 @@ type planExec struct {
 
 	// The current group's global accesses, all work-items back to back in
 	// one buffer reused by every group; ends[i] is where work-item i's
-	// trace ends and wis views each trace for the sink.
+	// trace ends and wis views each trace for the sink. runPlan sizes
+	// gCounts, ends and wis; a sweep keeps its own (see sweep.go).
 	accesses []Access
 	ends     []int
 	wis      [][]Access
@@ -285,16 +286,12 @@ type planExec struct {
 }
 
 func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
-	wgSize := nd.WorkGroupSize()
 	x := &planExec{
-		plan:    p,
-		cfg:     cfg,
-		nd:      nd,
-		regs:    make([]Val, p.NumRegs),
-		counts:  make([]int64, len(p.Fn.Blocks)),
-		gCounts: make([]float64, len(p.Fn.Blocks)),
-		ends:    make([]int, wgSize),
-		wis:     make([][]Access, wgSize),
+		plan:   p,
+		cfg:    cfg,
+		nd:     nd,
+		regs:   make([]Val, p.NumRegs),
+		counts: make([]int64, len(p.Fn.Blocks)),
 	}
 	cells := make(map[*ir.Alloca][]Val, len(p.TrackedAllocas))
 	for a := range p.TrackedAllocas {
@@ -449,6 +446,9 @@ func runPlan(p *static.Plan, cfg *Config, sample groupSample, sink GroupSink) (*
 
 	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Source: SourceStatic}
 	x := newPlanExec(p, cfg, nd)
+	wgSize := nd.WorkGroupSize()
+	x.gCounts = make([]float64, len(p.Fn.Blocks))
+	x.ends, x.wis = make([]int, wgSize), make([][]Access, wgSize)
 	err := sample.each(nd, func(ord int, group [3]int64) error {
 		if err := x.runGroup(group, prof); err != nil {
 			return err

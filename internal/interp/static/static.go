@@ -88,6 +88,14 @@ type Plan struct {
 	// executor recovers exact counts by walking the slice, but these
 	// are what "statically known" means for reporting.
 	LoopTrips map[*ir.Block]int64
+
+	// GlobalOnly reports that every work-item query in the slice reads
+	// launch-global geometry only (get_global_id, get_global_size,
+	// get_work_dim, get_global_offset). A work-item's profile then
+	// depends on its global ID alone, never on the work-group size, so
+	// one run over the union of several launches' profiled work-items
+	// serves them all (interp.ProfileSweep).
+	GlobalOnly bool
 }
 
 // Analyze computes the profile slice of f and reports whether the
@@ -317,6 +325,7 @@ func (a *analyzer) plan() *Plan {
 		Steps:          make(map[*ir.Block][]*ir.Instr, len(a.f.Blocks)),
 		BlockIndex:     make(map[*ir.Block]int, len(a.f.Blocks)),
 		LoopTrips:      TripCounts(a.f),
+		GlobalOnly:     true,
 	}
 	for st := range a.tracked {
 		switch s := st.(type) {
@@ -332,6 +341,12 @@ func (a *analyzer) plan() *Plan {
 		for _, in := range b.Instrs {
 			if a.need[in] || in.Op.IsTerminator() || in.Op.IsMemAccess() || in.Op == ir.OpBarrier {
 				steps = append(steps, in)
+			}
+			if a.need[in] && in.Op == ir.OpWorkItem {
+				switch in.Fn {
+				case "get_local_id", "get_group_id", "get_local_size", "get_num_groups":
+					p.GlobalOnly = false
+				}
 			}
 			if a.need[in] {
 				if _, ok := p.RegIndex[in]; !ok {

@@ -1,0 +1,424 @@
+package interp
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/ir"
+	"repro/internal/obs"
+)
+
+// ErrNotShareable reports that ProfileSweep cannot serve its launches
+// from one run. It is an expected outcome, not a fault: profile each
+// launch on its own instead.
+var ErrNotShareable = errors.New("interp: launches cannot share one profile")
+
+// ProfileSweep profiles one launch of f at several work-group sizes with
+// one execution. cfg binds the launch (global size, buffers, scalars);
+// locals lists the work-group geometries to profile, and the result
+// holds one profile per entry, each exactly what ProfileStream(f, cfg
+// at that local size, maxGroups, sinks[i]) returns on the static path,
+// with sinks[i] fed the same groups in the same order.
+//
+// Sharing is sound when the kernel's static profile slice reads no
+// work-group geometry (static.Plan.GlobalOnly): a work-item's trace,
+// trip counts and barriers are then a function of its global ID, so the
+// static executor runs the largest launch's profiled groups once and
+// every launch whose profiled groups lie inside them takes its
+// work-items' results from that run. Otherwise ProfileSweep returns an
+// error wrapping ErrNotShareable before executing anything.
+//
+// Each group's work-items are split over workers goroutines. As each
+// group of the largest launch completes, every launch is handed the
+// groups of its own prefix that are now complete, in its own dispatch
+// order, as per-work-item views into the shared trace buffers; a group's
+// buffers are kept only while some launch still needs a group inside
+// them, then recycled. Block counts, barriers and work-items are summed
+// as integers per launch, so the profiles are bitwise the per-launch
+// ones at any worker count. On an execution fault the sinks have seen a
+// partial sweep and the error is returned; the caller must profile each
+// launch on its own to get the reference error and partial profile.
+func ProfileSweep(f *ir.Func, cfg *Config, locals [][3]int64, maxGroups, workers int, sinks []GroupSink) ([]*Profile, error) {
+	if maxGroups <= 0 {
+		maxGroups = 2
+	}
+	if len(sinks) != len(locals) {
+		return nil, fmt.Errorf("interp: sweep of %d launches with %d sinks", len(locals), len(sinks))
+	}
+	e := planFor(f)
+	if e.plan == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotShareable, e.reason)
+	}
+	if !e.plan.GlobalOnly {
+		return nil, fmt.Errorf("%w: the profile slice reads the work-group geometry", ErrNotShareable)
+	}
+	if err := validateArgs(f, cfg); err != nil {
+		return nil, err
+	}
+	s, err := newSweep(cfg, locals, maxGroups, sinks)
+	if err != nil {
+		return nil, err
+	}
+	s.start(e, cfg, max(workers, 1))
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	obs.Global().Counter("profile_static_total", "").Add(uint64(len(locals)))
+	return s.profiles(), nil
+}
+
+// sweepLaunch is one work-group size of a sweep.
+type sweepLaunch struct {
+	nd     NDRange
+	ng     [3]int64   // groups per dimension
+	groups [][3]int64 // profiled group coordinates, in dispatch order
+	// handAt[j] is the ordinal of the largest launch's group after whose
+	// completion group j, and every group before it, is complete.
+	handAt []int
+	next   int // next group to hand over
+	sink   GroupSink
+	wis    [][]Access // the views of one handed group, reused
+}
+
+// member reports whether the work-item at global ID gid lies in one of
+// l's profiled groups.
+func (l *sweepLaunch) member(gid [3]int64) bool {
+	var lin, stride int64 = 0, 1
+	for d := 0; d < 3; d++ {
+		q := gid[d] / l.nd.Local[d]
+		if q >= l.ng[d] {
+			return false
+		}
+		lin += q * stride
+		stride *= l.ng[d]
+	}
+	return lin < int64(len(l.groups))
+}
+
+// sweepChunk is one execution task's share of a group of the largest
+// launch: work-items [lo, hi) in local order, their traces back to back
+// in acc, ends[i] the end of work-item lo+i's trace.
+type sweepChunk struct {
+	lo, hi int
+	acc    []Access
+	ends   []int
+}
+
+// sweepGroup holds one executed group's traces.
+type sweepGroup struct{ chunks []sweepChunk }
+
+// sweepWorker is one goroutine's executor and per-launch sums.
+type sweepWorker struct {
+	x        *planExec
+	counts   [][]int64 // per launch, per block
+	barriers []int64
+	wis      []int
+	err      error
+}
+
+// sweepTask is one unit of a step: hand a launch its ready groups, or
+// execute one chunk of the current group.
+type sweepTask struct {
+	launch *sweepLaunch
+	chunk  *sweepChunk
+}
+
+// sweep is the state of one ProfileSweep.
+type sweep struct {
+	launches []*sweepLaunch
+	big      *sweepLaunch // the launch whose profiled groups are executed
+	// releaseAt[b] is the step whose hand-off is the last to read group
+	// b of the largest launch; kept[b] holds its traces until then.
+	releaseAt []int
+	kept      []*sweepGroup
+	free      []*sweepGroup
+	chunkLen  int
+	workers   []*sweepWorker
+
+	cur   int // the group the current step executes
+	ready int // the last group complete before the current step
+}
+
+// newSweep lays the launches out and checks that every launch's
+// profiled groups lie inside the largest launch's.
+func newSweep(cfg *Config, locals [][3]int64, maxGroups int, sinks []GroupSink) (*sweep, error) {
+	s := &sweep{}
+	for i, local := range locals {
+		nd := NDRange{Global: cfg.Range.Global, Local: local}.Normalize()
+		l := &sweepLaunch{nd: nd, ng: nd.NumGroups(), sink: sinks[i], wis: make([][]Access, nd.WorkGroupSize())}
+		prefixSample(maxGroups).each(nd, func(_ int, g [3]int64) error {
+			l.groups = append(l.groups, g)
+			return nil
+		})
+		if s.big == nil || nd.WorkGroupSize() > s.big.nd.WorkGroupSize() {
+			s.big = l
+		}
+		s.launches = append(s.launches, l)
+	}
+	big := s.big
+	s.releaseAt = make([]int, len(big.groups))
+	s.kept = make([]*sweepGroup, len(big.groups))
+	for _, l := range s.launches {
+		l.handAt = make([]int, len(l.groups))
+		hand := 0
+		for j, g := range l.groups {
+			// The largest launch's groups overlapping this one, per dimension.
+			var lo, hi [3]int64
+			for d := 0; d < 3; d++ {
+				lo[d] = g[d] * l.nd.Local[d] / big.nd.Local[d]
+				hi[d] = ((g[d]+1)*l.nd.Local[d] - 1) / big.nd.Local[d]
+				if hi[d] >= big.ng[d] {
+					return nil, fmt.Errorf("%w: a local size %v group leaves the local size %v groups", ErrNotShareable, l.nd.Local, big.nd.Local)
+				}
+			}
+			need := int(hi[0] + hi[1]*big.ng[0] + hi[2]*big.ng[0]*big.ng[1])
+			if need >= len(big.groups) {
+				return nil, fmt.Errorf("%w: a local size %v group lies outside the local size %v profile", ErrNotShareable, l.nd.Local, big.nd.Local)
+			}
+			hand = max(hand, need)
+			l.handAt[j] = hand
+			for z := lo[2]; z <= hi[2]; z++ {
+				for y := lo[1]; y <= hi[1]; y++ {
+					for x := lo[0]; x <= hi[0]; x++ {
+						b := int(x + y*big.ng[0] + z*big.ng[0]*big.ng[1])
+						s.releaseAt[b] = max(s.releaseAt[b], hand)
+					}
+				}
+			}
+		}
+	}
+	return s, nil
+}
+
+// start builds one executor per worker. A group's work-items are split
+// into up to four chunks per worker, so hand-off tasks and uneven
+// work-items still balance across the workers.
+func (s *sweep) start(e *planEntry, cfg *Config, workers int) {
+	wgSize := int(s.big.nd.WorkGroupSize())
+	workers = min(workers, wgSize)
+	chunks := min(wgSize, 4*workers)
+	s.chunkLen = (wgSize + chunks - 1) / chunks
+	nblocks := len(e.plan.Fn.Blocks)
+	for w := 0; w < workers; w++ {
+		sw := &sweepWorker{
+			x:        newPlanExec(e.plan, cfg, s.big.nd),
+			counts:   make([][]int64, len(s.launches)),
+			barriers: make([]int64, len(s.launches)),
+			wis:      make([]int, len(s.launches)),
+		}
+		for i := range sw.counts {
+			sw.counts[i] = make([]int64, nblocks)
+		}
+		s.workers = append(s.workers, sw)
+	}
+}
+
+// run executes the largest launch's profiled groups one step at a time.
+// Step b executes group b while the launches are handed what group b-1
+// completed, as one pool of tasks over the workers.
+func (s *sweep) run() error {
+	n := len(s.big.groups)
+	var tasks []sweepTask
+	for b := 0; b <= n; b++ {
+		tasks = tasks[:0]
+		s.cur, s.ready = b, b-1
+		if b > 0 {
+			for _, l := range s.launches {
+				if l.next < len(l.groups) && l.handAt[l.next] <= s.ready {
+					tasks = append(tasks, sweepTask{launch: l})
+				}
+			}
+		}
+		if b < n {
+			g := s.take()
+			s.kept[b] = g
+			for i := range g.chunks {
+				tasks = append(tasks, sweepTask{chunk: &g.chunks[i]})
+			}
+		}
+		if err := s.step(tasks); err != nil {
+			return err
+		}
+		for i, r := range s.releaseAt {
+			if r == s.ready && s.kept[i] != nil {
+				s.free = append(s.free, s.kept[i])
+				s.kept[i] = nil
+			}
+		}
+	}
+	return nil
+}
+
+// take returns a group record for the next execution, recycling a
+// released one when there is one.
+func (s *sweep) take() *sweepGroup {
+	if n := len(s.free); n > 0 {
+		g := s.free[n-1]
+		s.free = s.free[:n-1]
+		return g
+	}
+	wgSize := int(s.big.nd.WorkGroupSize())
+	g := &sweepGroup{}
+	for lo := 0; lo < wgSize; lo += s.chunkLen {
+		hi := min(lo+s.chunkLen, wgSize)
+		g.chunks = append(g.chunks, sweepChunk{lo: lo, hi: hi, ends: make([]int, hi-lo)})
+	}
+	return g
+}
+
+// step runs one step's tasks over the workers, which pull them in order
+// until none is left or one fails.
+func (s *sweep) step(tasks []sweepTask) error {
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(w *sweepWorker) {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
+			}
+			t := tasks[i]
+			if t.launch != nil {
+				s.handOff(t.launch)
+				continue
+			}
+			if err := s.execute(w, t.chunk); err != nil {
+				w.err = err
+				failed.Store(true)
+				return
+			}
+		}
+	}
+	workers := s.workers[:min(len(s.workers), len(tasks))]
+	var wg sync.WaitGroup
+	for _, w := range workers[min(1, len(workers)):] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	if len(workers) > 0 {
+		work(workers[0])
+	}
+	wg.Wait()
+	for _, w := range s.workers {
+		if w.err != nil {
+			return w.err
+		}
+	}
+	return nil
+}
+
+// execute runs one chunk of the current group on w's executor, sizing
+// the chunk's trace buffer from its first work-item's trace, and adds
+// every work-item's counts to each launch that profiles it.
+func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
+	x := w.x
+	local := s.big.nd.Local
+	group := s.big.groups[s.cur]
+	x.group = group
+	x.accesses = c.acc[:0]
+	for li := c.lo; li < c.hi; li++ {
+		l := int64(li)
+		x.local = [3]int64{l % local[0], l / local[0] % local[1], l / (local[0] * local[1])}
+		for d := 0; d < 3; d++ {
+			x.global[d] = group[d]*local[d] + x.local[d]
+		}
+		if err := x.runWI(); err != nil {
+			return err
+		}
+		if li == c.lo {
+			if want := len(x.accesses) * (c.hi - c.lo); cap(x.accesses) < want {
+				x.accesses = append(make([]Access, 0, want), x.accesses...)
+			}
+		}
+		c.ends[li-c.lo] = len(x.accesses)
+		for k, l := range s.launches {
+			if !l.member(x.global) {
+				continue
+			}
+			w.wis[k]++
+			w.barriers[k] += int64(x.barriers)
+			counts := w.counts[k]
+			for bi, n := range x.counts {
+				if n != 0 {
+					counts[bi] += n
+				}
+			}
+		}
+	}
+	c.acc = x.accesses
+	return nil
+}
+
+// handOff hands l every group of its prefix that the completed groups
+// of the largest launch now cover, in l's dispatch order.
+func (s *sweep) handOff(l *sweepLaunch) {
+	local := l.nd.Local
+	for l.next < len(l.groups) && l.handAt[l.next] <= s.ready {
+		g := l.groups[l.next]
+		i := 0
+		for lz := int64(0); lz < local[2]; lz++ {
+			for ly := int64(0); ly < local[1]; ly++ {
+				for lx := int64(0); lx < local[0]; lx++ {
+					l.wis[i] = s.view([3]int64{g[0]*local[0] + lx, g[1]*local[1] + ly, g[2]*local[2] + lz})
+					i++
+				}
+			}
+		}
+		l.sink(l.next, l.wis)
+		l.next++
+	}
+}
+
+// view returns the trace of the work-item at global ID gid, from the
+// kept group of the largest launch that executed it.
+func (s *sweep) view(gid [3]int64) []Access {
+	local, ng := s.big.nd.Local, s.big.ng
+	var q, r [3]int64
+	for d := 0; d < 3; d++ {
+		q[d], r[d] = gid[d]/local[d], gid[d]%local[d]
+	}
+	g := s.kept[q[0]+q[1]*ng[0]+q[2]*ng[0]*ng[1]]
+	li := int(r[0] + r[1]*local[0] + r[2]*local[0]*local[1])
+	c := &g.chunks[li/s.chunkLen]
+	k := li - c.lo
+	lo := 0
+	if k > 0 {
+		lo = c.ends[k-1]
+	}
+	hi := c.ends[k]
+	return c.acc[lo:hi:hi]
+}
+
+// profiles sums the workers' counts into one finalized profile per
+// launch. Every sum is an integer below 2^53, so each is bitwise the
+// float accumulation the per-launch executor performs.
+func (s *sweep) profiles() []*Profile {
+	blocks := s.workers[0].x.plan.Fn.Blocks
+	out := make([]*Profile, len(s.launches))
+	for k := range s.launches {
+		prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Source: SourceStatic}
+		var barriers int64
+		for bi, b := range blocks {
+			var n int64
+			for _, w := range s.workers {
+				n += w.counts[k][bi]
+			}
+			if n != 0 {
+				prof.BlockCounts[b] = float64(n)
+			}
+		}
+		for _, w := range s.workers {
+			barriers += w.barriers[k]
+			prof.WorkItems += w.wis[k]
+		}
+		prof.Barriers = float64(barriers)
+		finalizeProfile(prof)
+		out[k] = prof
+	}
+	return out
+}

@@ -11,6 +11,8 @@ package ir
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -477,4 +479,110 @@ func (f *Func) String() string {
 		}
 	}
 	return sb.String()
+}
+
+// SameCode reports whether f and g are the same code: name, parameters,
+// allocas, attributes, blocks and every instruction operand by operand,
+// plus the loop trip-count and unroll hints that feed Loop.StaticTrip
+// and Loop.Unroll. Two compilations of one kernel at different
+// work-group sizes are the same code when the code never reads the WG
+// macro. String alone cannot tell: it omits the hints, result types and
+// work-item dimensions.
+func (f *Func) SameCode(g *Func) bool {
+	if f.Name != g.Name || f.Kernel != g.Kernel || f.HasBarrier != g.HasBarrier ||
+		len(f.Params) != len(g.Params) || len(f.Allocas) != len(g.Allocas) ||
+		len(f.Attrs) != len(g.Attrs) || len(f.Blocks) != len(g.Blocks) {
+		return false
+	}
+	for i, p := range f.Params {
+		if *p != *g.Params[i] {
+			return false
+		}
+	}
+	for i, a := range f.Allocas {
+		b := g.Allocas[i]
+		if a.AName != b.AName || a.Elem != b.Elem || a.Count != b.Count ||
+			a.AS != b.AS || a.Idx != b.Idx || !slices.Equal(a.Dims, b.Dims) {
+			return false
+		}
+	}
+	for i, a := range f.Attrs {
+		if a.Name != g.Attrs[i].Name || !slices.Equal(a.Args, g.Attrs[i].Args) {
+			return false
+		}
+	}
+	trips, unrolls := 0, 0
+	for i, fb := range f.Blocks {
+		gb := g.Blocks[i]
+		if fb.ID != gb.ID || fb.BName != gb.BName || len(fb.Instrs) != len(gb.Instrs) {
+			return false
+		}
+		for j, in := range fb.Instrs {
+			if !in.sameAs(gb.Instrs[j]) {
+				return false
+			}
+		}
+		ft, fok := f.TripHints[fb]
+		gt, gok := g.TripHints[gb]
+		fu, fuok := f.UnrollHints[fb]
+		gu, guok := g.UnrollHints[gb]
+		if fok != gok || ft != gt || fuok != guok || fu != gu {
+			return false
+		}
+		if fok {
+			trips++
+		}
+		if fuok {
+			unrolls++
+		}
+	}
+	// Hints keyed by blocks outside Blocks would escape the walk above.
+	return trips == len(f.TripHints) && trips == len(g.TripHints) &&
+		unrolls == len(f.UnrollHints) && unrolls == len(g.UnrollHints)
+}
+
+// sameAs compares two instructions of SameCode's walk: every field,
+// with operands, storage and branch targets matched by position.
+func (i *Instr) sameAs(j *Instr) bool {
+	if i.ID != j.ID || i.Op != j.Op || i.T != j.T || i.Pr != j.Pr || i.Fn != j.Fn ||
+		i.Dim != j.Dim || !slices.Equal(i.Lanes, j.Lanes) || len(i.Args) != len(j.Args) ||
+		!sameBlock(i.To, j.To) || !sameBlock(i.Else, j.Else) || !sameBlock(i.Blk, j.Blk) {
+		return false
+	}
+	if (i.Mem == nil) != (j.Mem == nil) || (i.Mem != nil && !sameValue(i.Mem, j.Mem)) {
+		return false
+	}
+	for n, a := range i.Args {
+		if !sameValue(a, j.Args[n]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBlock(a, b *Block) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.ID == b.ID
+}
+
+// sameValue matches operands by position: constants by type and bits,
+// parameters and allocas by index, instructions by ID.
+func sameValue(a, b Value) bool {
+	switch x := a.(type) {
+	case *Const:
+		y, ok := b.(*Const)
+		return ok && x.T == y.T && x.I == y.I && math.Float64bits(x.F) == math.Float64bits(y.F)
+	case *Param:
+		y, ok := b.(*Param)
+		return ok && x.Index == y.Index
+	case *Alloca:
+		y, ok := b.(*Alloca)
+		return ok && x.Idx == y.Idx
+	case *Instr:
+		y, ok := b.(*Instr)
+		return ok && x.ID == y.ID
+	}
+	return false
 }

@@ -224,3 +224,38 @@ func TestAllocaProperties(t *testing.T) {
 		t.Error("scalar alloca reported as array")
 	}
 }
+
+// TestSameCode: two builds of one function are the same code, and a
+// difference String cannot show — a trip or unroll hint, a result type —
+// makes them differ, as does a constant.
+func TestSameCode(t *testing.T) {
+	a, b := buildLoop(), buildLoop()
+	if !a.SameCode(b) {
+		t.Fatal("two builds of one loop differ")
+	}
+	for name, edit := range map[string]func(*Func){
+		"trip hint":   func(f *Func) { f.TripHints[f.Blocks[1]] = 10 },
+		"unroll hint": func(f *Func) { f.UnrollHints[f.Blocks[1]] = 2 },
+		"result type": func(f *Func) { f.Blocks[1].Instrs[0].T = ast.Scalar(ast.KLong) },
+		"constant": func(f *Func) {
+			for _, in := range f.Blocks[1].Instrs {
+				for i, v := range in.Args {
+					if c, ok := v.(*Const); ok {
+						in.Args[i] = IntConst(c.T.Base, c.I+1)
+						return
+					}
+				}
+			}
+			t.Fatal("loop has no constant operand")
+		},
+	} {
+		c := buildLoop()
+		edit(c)
+		if a.SameCode(c) || c.SameCode(a) {
+			t.Errorf("%s: edited build is the same code", name)
+		}
+		if name != "constant" && a.String() != c.String() {
+			t.Errorf("%s: String shows the edit, so this case does not cover what String omits", name)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"repro/internal/cdfg"
@@ -138,6 +139,20 @@ type AnalysisOptions struct {
 	OpSamples int
 }
 
+// withDefaults fills the unset options.
+func (o AnalysisOptions) withDefaults() AnalysisOptions {
+	if o.ProfileGroups <= 0 {
+		o.ProfileGroups = 8
+	}
+	if o.DRAMSamples <= 0 {
+		o.DRAMSamples = 4096
+	}
+	if o.OpSamples <= 0 {
+		o.OpSamples = 256
+	}
+	return o
+}
+
 // Analyze runs FlexCL's kernel analysis (§3.2) for one kernel and launch
 // configuration: dynamic profiling for trip counts and the memory trace,
 // plus device micro-benchmark profiling. The interp buffers are copies of
@@ -154,15 +169,7 @@ type AnalysisOptions struct {
 // detached context instead (see dse.PrepCache), so one impatient
 // request cannot poison the shared fill.
 func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Config, opts AnalysisOptions) (*Analysis, error) {
-	if opts.ProfileGroups <= 0 {
-		opts.ProfileGroups = 8
-	}
-	if opts.DRAMSamples <= 0 {
-		opts.DRAMSamples = 4096
-	}
-	if opts.OpSamples <= 0 {
-		opts.OpSamples = 256
-	}
+	opts = opts.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -171,8 +178,7 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	}
 	f.EnsureLoops()
 	_, psp := telemetry.Start(ctx, "profile")
-	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
-	stream := trace.NewStream(layout, p.DRAM, p.MemAccessUnitBits/8)
+	stream := trace.NewStream(trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM), p.DRAM, p.MemAccessUnitBits/8)
 	prof, err := interp.ProfileStream(f, cfg, opts.ProfileGroups, stream.Group)
 	if prof != nil {
 		psp.Annotate("source", string(prof.Source))
@@ -182,13 +188,75 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	if err != nil {
 		return nil, fmt.Errorf("model: profiling %s: %w", f.Name, err)
 	}
+	ans, err := finish(ctx, f, p, []interp.NDRange{cfg.Range.Normalize()}, []*interp.Profile{prof}, []*trace.Stream{stream}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ans[0], nil
+}
+
+// AnalyzeSweep is Analyze at several work-group sizes of one launch,
+// profiled by one shared run (interp.ProfileSweep). cfg binds the launch
+// and locals lists the work-group geometries; the result holds one
+// Analysis per entry of locals, each bitwise the one Analyze gives at
+// that geometry, all sharing f and one latency table. workers splits
+// each profiled work-group's work-items over goroutines; the result is
+// the same at any count. The static run never writes cfg's buffers.
+//
+// An error wrapping interp.ErrNotShareable means the launches cannot
+// share a profile; any other profiling error is a fault of the shared
+// run, whose work-items are the largest launch's profiled ones. Either
+// way, Analyze each geometry on its own for the reference result or
+// error. The "profile" span carries shared=true and wg_sizes.
+func AnalyzeSweep(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Config, locals [][3]int64, opts AnalysisOptions, workers int) ([]*Analysis, error) {
+	opts = opts.withDefaults()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
+	}
+	f.EnsureLoops()
+	_, psp := telemetry.Start(ctx, "profile")
+	psp.Annotate("shared", "true")
+	psp.Annotate("wg_sizes", fmt.Sprint(len(locals)))
+	psp.Annotate("groups", fmt.Sprint(opts.ProfileGroups))
+	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
+	nds := make([]interp.NDRange, len(locals))
+	streams := make([]*trace.Stream, len(locals))
+	sinks := make([]interp.GroupSink, len(locals))
+	for i, local := range locals {
+		nds[i] = interp.NDRange{Global: cfg.Range.Global, Local: local}.Normalize()
+		streams[i] = trace.NewStream(layout, p.DRAM, p.MemAccessUnitBits/8)
+		sinks[i] = streams[i].Group
+	}
+	profs, err := interp.ProfileSweep(f, cfg, locals, opts.ProfileGroups, workers, sinks)
+	if err == nil {
+		psp.Annotate("source", string(interp.SourceStatic))
+	}
+	psp.End()
+	if err != nil {
+		return nil, fmt.Errorf("model: profiling %s: %w", f.Name, err)
+	}
+	return finish(ctx, f, p, nds, profs, streams, opts)
+}
+
+// finish completes Analyze and AnalyzeSweep once profiling is done: it
+// reduces each launch's stream to per-work-item averages ("memtrace"),
+// profiles the device once ("devprofile") and assembles one Analysis
+// per launch geometry nds[i].
+func finish(ctx context.Context, f *ir.Func, p *device.Platform, nds []interp.NDRange, profs []*interp.Profile, streams []*trace.Stream, opts AnalysisOptions) ([]*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
 	}
 	_, msp := telemetry.Start(ctx, "memtrace")
-	cls := stream.Classified()
-	nd := cfg.Range.Normalize()
-	msp.Annotate("bursts_per_wi", fmt.Sprintf("%.3f", cls.BurstsPerWI))
+	cls := make([]*trace.Classified, len(streams))
+	bursts := make([]string, len(streams))
+	for i, s := range streams {
+		cls[i] = s.Classified()
+		bursts[i] = fmt.Sprintf("%.3f", cls[i].BurstsPerWI)
+	}
+	msp.Annotate("bursts_per_wi", strings.Join(bursts, " "))
 	msp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
@@ -197,17 +265,50 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	table := device.Profile(p, opts.OpSamples)
 	patLat := dram.ProfilePatterns(p.DRAM, opts.DRAMSamples, device.HashString(p.Name))
 	dsp.End()
-	return &Analysis{
-		F:        f,
-		Platform: p,
-		Table:    table,
-		PatLat:   patLat,
-		Freq:     prof.BlockCounts,
-		Mem:      cls,
-		NWI:      nd.TotalWorkItems(),
-		WGSize:   nd.WorkGroupSize(),
-		Barriers: prof.Barriers,
-	}, nil
+	out := make([]*Analysis, len(nds))
+	for i, nd := range nds {
+		out[i] = &Analysis{
+			F:        f,
+			Platform: p,
+			Table:    table,
+			PatLat:   patLat,
+			Freq:     profs[i].BlockCounts,
+			Mem:      cls[i],
+			NWI:      nd.TotalWorkItems(),
+			WGSize:   nd.WorkGroupSize(),
+			Barriers: profs[i].Barriers,
+		}
+	}
+	return out, nil
+}
+
+// Diff compares the profiled inputs of two analyses bitwise — Mem, Freq
+// by block position, Barriers, NWI and WGSize — and describes the first
+// difference, or returns "" when they are identical. Blocks match by
+// position, so analyses of separately compiled copies of one kernel
+// compare equal; the platform tables are not compared.
+func (a *Analysis) Diff(b *Analysis) string {
+	if d := a.Mem.Diff(b.Mem); d != "" {
+		return "Mem: " + d
+	}
+	if len(a.F.Blocks) != len(b.F.Blocks) || len(a.Freq) != len(b.Freq) {
+		return fmt.Sprintf("Freq over %d of %d blocks vs %d of %d",
+			len(a.Freq), len(a.F.Blocks), len(b.Freq), len(b.F.Blocks))
+	}
+	for i, blk := range a.F.Blocks {
+		x, xok := a.Freq[blk]
+		y, yok := b.Freq[b.F.Blocks[i]]
+		if xok != yok || math.Float64bits(x) != math.Float64bits(y) {
+			return fmt.Sprintf("Freq[%s] %v (present %v) vs %v (present %v)", blk.Label(), x, xok, y, yok)
+		}
+	}
+	if math.Float64bits(a.Barriers) != math.Float64bits(b.Barriers) {
+		return fmt.Sprintf("Barriers %v vs %v", a.Barriers, b.Barriers)
+	}
+	if a.NWI != b.NWI || a.WGSize != b.WGSize {
+		return fmt.Sprintf("NWI/WGSize %d/%d vs %d/%d", a.NWI, a.WGSize, b.NWI, b.WGSize)
+	}
+	return ""
 }
 
 // Estimate is the model's prediction for one design point, with the full

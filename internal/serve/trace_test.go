@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/telemetry"
 )
 
@@ -243,11 +245,14 @@ func TestBatchItemSpans(t *testing.T) {
 }
 
 // TestJobTrace: an exploration job records its own trace under the
-// predictable job-{id} key, with the DSE stage spans.
+// predictable job-{id} key, with the DSE stage spans. nn/nn compiles to
+// the same code at every WG size, so its fill profiles the sweep once:
+// that fill must still name every prep stage, and its profile span says
+// it was shared and by how many WG sizes.
 func TestJobTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v2/explore", map[string]any{
-		"kernel": map[string]any{"id": "hotspot/hotspot"},
+		"kernel": map[string]any{"id": "nn/nn"},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("explore status = %d, body %s", resp.StatusCode, body)
@@ -279,10 +284,26 @@ func TestJobTrace(t *testing.T) {
 	v := getTrace(t, ts.URL, "job-"+acc.ID)
 	names := map[string]int{}
 	spanNames(v.Root, names)
-	for _, want := range []string{"prep", "sweep"} {
+	for _, want := range []string{"prep", "sweep", "compile", "profile", "memtrace", "devprofile"} {
 		if names[want] == 0 {
 			t.Errorf("job trace missing %q span: %v", want, names)
 		}
+	}
+	var profile func(sv telemetry.SpanView) map[string]string
+	profile = func(sv telemetry.SpanView) map[string]string {
+		if sv.Name == "profile" {
+			return sv.Attrs
+		}
+		for _, c := range sv.Children {
+			if a := profile(c); a != nil {
+				return a
+			}
+		}
+		return nil
+	}
+	wgs := fmt.Sprint(len(bench.FindID("nn/nn").WGSizes()))
+	if a := profile(v.Root); a["shared"] != "true" || a["wg_sizes"] != wgs {
+		t.Errorf("profile span attrs = %v, want shared=true and wg_sizes=%s", a, wgs)
 	}
 }
 

@@ -10,9 +10,6 @@
 //	             [-max-batch 256] [-batch-timeout 2m]
 //	             [-pred-cache 4096] [-prep-cache 4096]
 //	             [-artifact-dir /var/lib/flexcl/artifacts]
-//	             [-self http://replica-0:8080]
-//	             [-peers http://replica-0:8080,http://replica-1:8080]
-//	             [-peer-timeout 15s]
 //	             [-timeout 10s] [-explore-timeout 5m]
 //	             [-drain 30s] [-log text|json]
 //	             [-trace-capacity 256] [-trace-keep-slowest 32]
@@ -41,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,9 +58,6 @@ func main() {
 		predCache   = flag.Int("pred-cache", 4096, "LRU prediction cache entries (negative disables)")
 		prepCache   = flag.Int("prep-cache", 0, "completed compile+analyze cache entries (0 = 4096, negative unbounded)")
 		artifactDir = flag.String("artifact-dir", "", "persist compile+analyze results to this directory and answer misses from it (warm restarts; empty = memory only)")
-		selfURL     = flag.String("self", "", "this replica's advertised base URL in a clustered fleet (required with -peers)")
-		peersFlag   = flag.String("peers", "", "comma-separated replica base URLs forming the fleet (empty = single node)")
-		peerTO      = flag.Duration("peer-timeout", 15*time.Second, "deadline for one forwarded prep exchange against a peer")
 		timeout     = flag.Duration("timeout", 10*time.Second, "synchronous request deadline")
 		exploreTO   = flag.Duration("explore-timeout", 5*time.Minute, "per-job exploration deadline")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
@@ -94,17 +87,6 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	var peers []string
-	for _, p := range strings.Split(*peersFlag, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	if len(peers) > 0 && *selfURL == "" {
-		fmt.Fprintln(os.Stderr, "flexcl-serve: -peers requires -self (this replica's own base URL)")
-		os.Exit(2)
-	}
-
 	s := serve.New(serve.Config{
 		Addr:                  *addr,
 		Workers:               *workers,
@@ -118,9 +100,6 @@ func main() {
 		PredCacheSize:         *predCache,
 		PrepCacheSize:         *prepCache,
 		ArtifactDir:           *artifactDir,
-		SelfURL:               *selfURL,
-		Peers:                 peers,
-		PeerTimeout:           *peerTO,
 		RequestTimeout:        *timeout,
 		ExploreTimeout:        *exploreTO,
 		DrainTimeout:          *drain,

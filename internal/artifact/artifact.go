@@ -5,11 +5,11 @@
 // trace and the device latency tables — serialized as one versioned
 // record per key.
 //
-// The store exists so restarts begin warm: a flexcl-serve replica (or a
+// The store exists so restarts begin warm: a flexcl-serve process (or a
 // corpus sweep) pointed at a populated -artifact-dir answers its first
 // prediction of every kernel from disk instead of re-running the
-// interpreter, and N replicas sharing one directory compile each kernel
-// once per fleet instead of once per process.
+// interpreter. Processes sharing one directory reuse each other's
+// finished records; two that fill the same key at once each compute it.
 //
 // Records deliberately do not carry the ir.Func itself: IR is cheap to
 // rebuild from source (parse + irgen), deterministic, and full of

@@ -32,13 +32,11 @@ import (
 // API requests — coalesce onto one entry.
 //
 // Lookups are tiered: memory (singleflight) → artifact store (when the
-// cache was built with one) → peer (when built with a PeerFetcher —
-// the clustered deployment's owning replica) → compute. A disk or peer
-// hit recompiles the kernel (cheap, deterministic) and re-attaches the
-// stored profile instead of re-running the interpreter; fresh computes
-// and peer-fetched records are persisted back to the store after the
-// waiters are released, so restarts and sibling replicas sharing the
-// directory start warm.
+// cache was built with one) → compute. A disk hit recompiles the kernel
+// (cheap, deterministic) and re-attaches the stored profile instead of
+// re-running the interpreter; fresh computes are persisted back to the
+// store after the waiters are released, so restarts and other processes
+// sharing the directory start warm.
 //
 // A sweep over a kernel's WG sizes (Explore, Search, Analyses) computes
 // its misses together, largest first: when they all compile to the
@@ -65,7 +63,6 @@ type PrepCache struct {
 	idx   map[prepKey]*list.Element // key → LRU element (completed entries only)
 	cap   int                       // max completed entries; < 0 = unbounded
 	store *artifact.Store           // nil = memory only
-	peer  PeerFetcher               // nil = no cluster tier
 	stats CacheStats
 
 	// persist tracks artifact writes still in flight on fill
@@ -94,25 +91,6 @@ type PrepCacheOptions struct {
 	// Store, when non-nil, persists completed fills and answers misses
 	// from disk (see internal/artifact).
 	Store *artifact.Store
-	// Peer, when non-nil, is consulted after the artifact store and
-	// before a local compute: in a clustered deployment it fetches the
-	// key owner's record so each kernel is compiled once per fleet (see
-	// internal/cluster).
-	Peer PeerFetcher
-}
-
-// PeerFetcher is the cluster tier of the cache: it maps a prep key to
-// its owning replica and fetches that replica's record.
-//
-//   - (rec, owner, nil): the owner answered; the cache restores rec
-//     instead of computing.
-//   - (nil, "", nil): the tier does not apply (self-owned key,
-//     clustering off, owner down) — the cache computes locally.
-//   - (nil, "", err): a fleet-level refusal (e.g. the owner shed the
-//     work): the fill fails with err for every coalesced waiter and the
-//     entry is evicted, so a later retry starts fresh.
-type PeerFetcher interface {
-	Fetch(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (rec *artifact.Record, owner string, err error)
 }
 
 type prepKey struct {
@@ -137,11 +115,9 @@ type prepEntry struct {
 	// to ModelTime only when this call did the work (cache hits are
 	// free).
 	dur time.Duration
-	// src records which tier filled the entry (SourceCompute,
-	// SourceDisk or SourcePeer) and peer the owning replica when src is
-	// SourcePeer.
-	src  string
-	peer string
+	// src records which tier filled the entry (SourceCompute or
+	// SourceDisk).
+	src string
 }
 
 // Fill sources, as reported by PrepResult.Source.
@@ -150,8 +126,6 @@ const (
 	SourceCompute = "compute"
 	// SourceDisk: restored from the local artifact store.
 	SourceDisk = "disk"
-	// SourcePeer: fetched from the key's owning replica.
-	SourcePeer = "peer"
 )
 
 // PrepOutcome reports how a context-aware cache lookup was satisfied.
@@ -199,7 +173,6 @@ func NewPrepCacheOpts(opts PrepCacheOptions) *PrepCache {
 		idx:   make(map[prepKey]*list.Element),
 		cap:   capacity,
 		store: opts.Store,
-		peer:  opts.Peer,
 	}
 }
 
@@ -273,49 +246,37 @@ func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform
 // profileGroups is how many work-groups every fill profiles.
 const profileGroups = 8
 
-// restore attempts the disk tier: load the record, recompile the
-// kernel (cheap and deterministic — no interpreter run) and re-attach
-// the stored profile. A record whose structural fingerprint no longer
-// matches the compiled function is invalidated and reported as a miss.
-func (c *PrepCache) restore(ctx context.Context, key prepKey, e *prepEntry, k *bench.Kernel, wg int64, p *device.Platform) bool {
+// restore attempts the disk tier for job j and reports whether it
+// filled the entry: load the record, recompile the kernel (cheap and
+// deterministic — no interpreter run) and re-attach the stored profile.
+// A record that no longer fits this build's compiled shape is
+// invalidated and reported as a miss.
+func (c *PrepCache) restore(ctx context.Context, k *bench.Kernel, p *device.Platform, j *fillJob) bool {
 	if c.store == nil {
 		return false
 	}
-	rec, ok := c.store.Load(key.artifactKey())
+	rec, ok := c.store.Load(j.key.artifactKey())
 	if !ok {
 		return false
 	}
-	if !c.attach(ctx, "artifact", e, rec, k, wg, p) {
-		c.store.Invalidate(key.artifactKey())
-		return false
-	}
-	return true
-}
-
-// attach completes an entry from a serialized record: recompile the
-// kernel (cheap and deterministic — no interpreter run) and re-attach
-// the stored profile. span names the telemetry stage ("artifact" for
-// the disk tier, "restore" under a peer fetch's "forward" span). False
-// means the record does not fit this build's compiled shape.
-func (c *PrepCache) attach(ctx context.Context, span string, e *prepEntry, rec *artifact.Record, k *bench.Kernel, wg int64, p *device.Platform) bool {
 	t0 := time.Now()
-	_, sp := telemetry.Start(ctx, span)
+	_, sp := telemetry.Start(ctx, "artifact")
 	sp.Annotate("kernel", k.ID())
-	sp.Annotate("wg", fmt.Sprint(wg))
+	sp.Annotate("wg", fmt.Sprint(j.wg))
 	defer sp.End()
-	f, err := k.Compile(wg)
+	f, err := k.Compile(j.wg)
+	var an *model.Analysis
+	if err == nil {
+		f.EnsureLoops()
+		an, err = rec.Analysis(f, p)
+	}
 	if err != nil {
 		sp.Annotate("error", err.Error())
+		c.store.Invalidate(j.key.artifactKey())
 		return false
 	}
-	f.EnsureLoops()
-	an, err := rec.Analysis(f, p)
-	if err != nil {
-		sp.Annotate("error", err.Error())
-		return false
-	}
-	e.f, e.an = f, an
-	e.dur = time.Since(t0)
+	j.e.f, j.e.an, j.e.src = f, an, SourceDisk
+	j.e.dur = time.Since(t0)
 	return true
 }
 
@@ -328,56 +289,29 @@ type fillJob struct {
 }
 
 // fill completes freshly created entries of kernel k: each tries the
-// artifact store, then the peer tier, sharded over workers, and the
-// misses left are computed together (compute).
+// artifact store, sharded over workers, and the misses left are
+// computed together (compute).
 func (c *PrepCache) fill(ctx context.Context, k *bench.Kernel, p *device.Platform, jobs []*fillJob, workers int) {
-	settled := make([]bool, len(jobs))
+	restored := make([]bool, len(jobs))
 	runShards(workers, len(jobs), func(i int) {
-		if settled[i] = c.tiers(ctx, k, p, jobs[i]); settled[i] {
+		if restored[i] = c.restore(ctx, k, p, jobs[i]); restored[i] {
 			c.publish(jobs[i:i+1], 1)
 		}
 	})
 	var misses []*fillJob
 	for i, j := range jobs {
-		if !settled[i] {
+		if !restored[i] {
 			misses = append(misses, j)
 		}
 	}
 	c.compute(ctx, k, p, misses, workers)
 }
 
-// tiers tries to answer j from the artifact store, then from the peer
-// tier, and reports whether either settled it: a restored entry, or a
-// peer refusal recorded as the entry's error.
-func (c *PrepCache) tiers(ctx context.Context, k *bench.Kernel, p *device.Platform, j *fillJob) bool {
-	if c.restore(ctx, j.key, j.e, k, j.wg, p) {
-		j.e.src = SourceDisk
-		return true
-	}
-	if c.peer == nil {
-		return false
-	}
-	// Cluster tier: when another replica owns this key, fetch its record
-	// instead of duplicating the compile+analyze. A hard refusal (owner
-	// shed) fails the fill for every waiter; an unreachable owner or an
-	// unusable record degrades to the local compute.
-	rec, owner, err := c.peer.Fetch(ctx, k, p, j.wg)
-	switch {
-	case err != nil:
-		j.e.err = err
-		return true
-	case rec != nil && c.attach(ctx, "restore", j.e, rec, k, j.wg, p):
-		j.e.src, j.e.peer = SourcePeer, owner
-		return true
-	}
-	return false
-}
-
-// compute fills jobs, misses of kernel k that no tier answered, ordered
-// largest WG size first, and publishes each. Two or more misses first
-// try one shared profile (computeShared); otherwise, or when that
-// declines, each job runs its own compile+analyze, sharded over
-// workers.
+// compute fills jobs, misses of kernel k the artifact store did not
+// answer, ordered largest WG size first, and publishes each. Two or
+// more misses first try one shared profile (computeShared); otherwise,
+// or when that declines, each job runs its own compile+analyze, sharded
+// over workers.
 func (c *PrepCache) compute(ctx context.Context, k *bench.Kernel, p *device.Platform, jobs []*fillJob, workers int) {
 	c.mu.Lock()
 	c.stats.Computes += uint64(len(jobs))
@@ -460,10 +394,10 @@ func (c *PrepCache) computeShared(ctx context.Context, k *bench.Kernel, p *devic
 // entries leave the map immediately, so the error reaches exactly the
 // requests that coalesced onto the fill and the next request for the
 // key recomputes; successful entries join the completed-LRU (evicting
-// over capacity). Fresh computes and peer-fetched records are then
-// persisted, sharded over workers, after the waiters are released, so
-// coalesced requests never wait on disk I/O and the next restart (or a
-// sibling sharing the directory) starts warm.
+// over capacity). Fresh computes are then persisted, sharded over
+// workers, after the waiters are released, so coalesced requests never
+// wait on disk I/O and the next restart (or another process sharing the
+// directory) starts warm.
 func (c *PrepCache) publish(jobs []*fillJob, workers int) {
 	var saves []*fillJob
 	c.mu.Lock()
@@ -477,14 +411,10 @@ func (c *PrepCache) publish(jobs []*fillJob, workers int) {
 			}
 			continue
 		}
-		switch e.src {
-		case SourceDisk:
-			c.stats.DiskHits++
-		case SourcePeer:
-			c.stats.PeerHits++
-		}
 		c.linkCompleted(j.key)
-		if e.src != SourceDisk && c.store != nil {
+		if e.src == SourceDisk {
+			c.stats.DiskHits++
+		} else if c.store != nil {
 			saves = append(saves, j)
 		}
 	}
@@ -581,34 +511,23 @@ func (c *PrepCache) prepare(ctx context.Context, k *bench.Kernel, p *device.Plat
 	return entries, own, err
 }
 
+// PrepResult is the outcome of a context-aware cache lookup.
+type PrepResult struct {
+	An      *model.Analysis
+	Outcome PrepOutcome
+	// Source reports which tier originally filled the entry
+	// (SourceCompute or SourceDisk; "" when the lookup failed before the
+	// fill resolved).
+	Source string
+}
+
 // AnalysisContext returns the prepared analysis for one WG size,
 // respecting ctx while waiting. The first caller for a key starts the
 // fill on its own goroutine; concurrent callers for the same key
 // coalesce onto that fill instead of duplicating it. When ctx expires
 // first the caller gets ctx's error immediately while the fill keeps
 // running in the background and lands in the cache for the retry.
-func (c *PrepCache) AnalysisContext(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (*model.Analysis, PrepOutcome, error) {
-	res, err := c.AnalysisContextDetail(ctx, k, p, wg)
-	return res.An, res.Outcome, err
-}
-
-// PrepResult is the detailed outcome of a context-aware cache lookup.
-type PrepResult struct {
-	An      *model.Analysis
-	Outcome PrepOutcome
-	// Source reports which tier originally filled the entry
-	// (SourceCompute, SourceDisk or SourcePeer; "" when the lookup
-	// failed before the fill resolved).
-	Source string
-	// Peer is the owning replica's URL when Source is SourcePeer.
-	Peer string
-}
-
-// AnalysisContextDetail is AnalysisContext plus fill attribution: which
-// tier produced the entry and, for the cluster tier, which replica owns
-// the key. The serve layer uses it to report served_by/forwarded on v2
-// responses.
-func (c *PrepCache) AnalysisContextDetail(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (PrepResult, error) {
+func (c *PrepCache) AnalysisContext(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (PrepResult, error) {
 	key, e, created, coalesced := c.entry(k, p, wg)
 	outcome := PrepCached
 	switch {
@@ -626,7 +545,7 @@ func (c *PrepCache) AnalysisContextDetail(ctx context.Context, k *bench.Kernel, 
 	if e.err != nil {
 		return PrepResult{Outcome: outcome}, e.err
 	}
-	return PrepResult{An: e.an, Outcome: outcome, Source: e.src, Peer: e.peer}, nil
+	return PrepResult{An: e.an, Outcome: outcome, Source: e.src}, nil
 }
 
 // Analyses returns the kernel's per-WG-size analysis map on platform p

@@ -103,13 +103,13 @@ func TestPrepCacheErrorReachesCoalescedWaiters(t *testing.T) {
 	const waiters = 4
 	errs := make(chan error, waiters)
 	go func() {
-		_, _, err := c.AnalysisContext(context.Background(), k, p, wg)
+		_, err := c.AnalysisContext(context.Background(), k, p, wg)
 		errs <- err
 	}()
 	<-entered
 	for i := 1; i < waiters; i++ {
 		go func() {
-			_, _, err := c.AnalysisContext(context.Background(), k, p, wg)
+			_, err := c.AnalysisContext(context.Background(), k, p, wg)
 			errs <- err
 		}()
 	}
@@ -396,12 +396,12 @@ func TestPrepCacheConcurrentDiskAndMemory(t *testing.T) {
 			defer g.Done()
 			for j := 0; j < 4; j++ {
 				wg := wgs[(i+j)%len(wgs)]
-				an, _, err := c.AnalysisContext(context.Background(), k, p, wg)
+				res, err := c.AnalysisContext(context.Background(), k, p, wg)
 				if err != nil {
 					t.Errorf("wg=%d: %v", wg, err)
 					return
 				}
-				if an == nil {
+				if res.An == nil {
 					t.Errorf("wg=%d: nil analysis", wg)
 					return
 				}

@@ -22,10 +22,6 @@ type CacheStats struct {
 	// instead of a full compile+analyze; zero for plain LRU caches and
 	// for caches without a store.
 	DiskHits uint64
-	// PeerHits counts fills answered by another replica (the cluster
-	// tier) instead of a local compile+analyze; zero outside clustered
-	// deployments.
-	PeerHits uint64
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookup.

@@ -28,9 +28,9 @@ var (
 func Global() *Registry {
 	globalOnce.Do(func() {
 		globalReg = NewRegistry("flexcl_global")
-		// Help applies to registered families, so register them eagerly:
-		// the counters should render as 0 on /metrics before the first
-		// profile rather than appear out of nowhere later.
+		// Register the counters eagerly so they render as 0 on /metrics
+		// before the first profile rather than appear out of nowhere
+		// later.
 		globalReg.Counter("profile_static_total", "")
 		globalReg.Help("profile_static_total",
 			"Kernel profiles produced by the static fast path (no work-group execution).")

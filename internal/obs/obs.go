@@ -125,7 +125,6 @@ const (
 type family struct {
 	name  string
 	typ   string
-	help  string
 	order []string // label sets in first-seen order
 	items map[string]any
 }
@@ -139,20 +138,21 @@ type Registry struct {
 	mu        sync.Mutex
 	order     []string
 	fams      map[string]*family
+	help      map[string]string // family name → HELP text (see Help)
 }
 
 // NewRegistry returns an empty registry; namespace (e.g. "flexcl")
 // prefixes every exported metric name.
 func NewRegistry(namespace string) *Registry {
-	return &Registry{namespace: namespace, fams: make(map[string]*family)}
+	return &Registry{namespace: namespace, fams: make(map[string]*family), help: make(map[string]string)}
 }
 
-func (r *Registry) family(name, typ, help string) *family {
+func (r *Registry) family(name, typ string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.fams[name]
 	if !ok {
-		f = &family{name: name, typ: typ, help: help, items: make(map[string]any)}
+		f = &family{name: name, typ: typ, items: make(map[string]any)}
 		r.fams[name] = f
 		r.order = append(r.order, name)
 	}
@@ -162,8 +162,8 @@ func (r *Registry) family(name, typ, help string) *family {
 	return f
 }
 
-func (r *Registry) child(name, typ, help, labels string, mk func() any) any {
-	f := r.family(name, typ, help)
+func (r *Registry) child(name, typ, labels string, mk func() any) any {
+	f := r.family(name, typ)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := f.items[labels]
@@ -178,18 +178,18 @@ func (r *Registry) child(name, typ, help, labels string, mk func() any) any {
 // Counter returns the counter child for a label set (`k="v",k2="v2"` or
 // "" for no labels), creating it on first use.
 func (r *Registry) Counter(name, labels string) *Counter {
-	return r.child(name, typeCounter, "", labels, func() any { return &Counter{} }).(*Counter)
+	return r.child(name, typeCounter, labels, func() any { return &Counter{} }).(*Counter)
 }
 
 // Gauge returns the gauge child for a label set, creating it on first use.
 func (r *Registry) Gauge(name, labels string) *Gauge {
-	return r.child(name, typeGauge, "", labels, func() any { return &Gauge{} }).(*Gauge)
+	return r.child(name, typeGauge, labels, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns the histogram child for a label set, creating it
 // with the given bucket bounds (DefBuckets when empty) on first use.
 func (r *Registry) Histogram(name, labels string, buckets ...float64) *Histogram {
-	return r.child(name, typeHistogram, "", labels, func() any {
+	return r.child(name, typeHistogram, labels, func() any {
 		b := buckets
 		if len(b) == 0 {
 			b = DefBuckets
@@ -201,12 +201,12 @@ func (r *Registry) Histogram(name, labels string, buckets ...float64) *Histogram
 }
 
 // Help sets the HELP string of a family (optional; shown in /metrics).
+// It may be called before the family's first child exists: the text is
+// kept by name and rendered once the family does.
 func (r *Registry) Help(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.fams[name]; ok {
-		f.help = help
-	}
+	r.help[name] = help
 }
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -281,7 +281,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		r.mu.Lock()
 		f := r.fams[name]
 		labelSets := append([]string(nil), f.order...)
-		typ, help := f.typ, f.help
+		typ, help := f.typ, r.help[name]
 		r.mu.Unlock()
 
 		full := r.namespace + "_" + name

@@ -63,6 +63,8 @@ func TestPrometheusTextFormat(t *testing.T) {
 	r.Counter("requests_total", `route="/v1/predict",code="200"`).Add(7)
 	r.Counter("requests_total", `route="/v1/predict",code="404"`).Add(2)
 	r.Help("requests_total", "HTTP requests by route and status.")
+	// Help before the family exists still renders once it does.
+	r.Help("cache_entries", "Resident cache entries.")
 	r.Gauge("cache_entries", "").Set(42)
 	var sb bytes.Buffer
 	r.WritePrometheus(&sb)
@@ -72,6 +74,7 @@ func TestPrometheusTextFormat(t *testing.T) {
 		"# TYPE flexcl_requests_total counter",
 		`flexcl_requests_total{route="/v1/predict",code="200"} 7`,
 		`flexcl_requests_total{route="/v1/predict",code="404"} 2`,
+		"# HELP flexcl_cache_entries Resident cache entries.",
 		"# TYPE flexcl_cache_entries gauge",
 		"flexcl_cache_entries 42",
 	} {

@@ -82,18 +82,9 @@ type PredictResult struct {
 	NCU           int     `json:"n_cu"`
 	// Cache reports how the answer was produced: "pred" (prediction LRU
 	// hit), "prep" (analysis already prepared), "coalesced" (joined an
-	// in-flight fill for the same kernel), "peer" (the compile+analyze
-	// came from the key's owning replica) or "miss" (this request led the
+	// in-flight fill for the same kernel) or "miss" (this request led the
 	// compile+analyze).
 	Cache string `json:"cache"`
-	// ServedBy names the replica whose compile+analyze answered this
-	// prediction when the prep was forwarded across the fleet; omitted
-	// for locally-owned keys and single-node deployments, so those
-	// bodies are byte-identical with clustering on or off.
-	ServedBy string `json:"served_by,omitempty"`
-	// Forwarded reports that the analysis behind this response crossed a
-	// replica boundary (it was fetched from ServedBy).
-	Forwarded bool `json:"forwarded,omitempty"`
 }
 
 // BatchPredictRequest is POST /v2/predict:batch: N independent

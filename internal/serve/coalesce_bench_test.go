@@ -47,12 +47,12 @@ func BenchmarkPredictCoalesced(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				an, _, err := prep.AnalysisContext(context.Background(), k, p, d.WGSize)
+				res, err := prep.AnalysisContext(context.Background(), k, p, d.WGSize)
 				if err != nil {
 					b.Error(err)
 					return
 				}
-				an.Predict(d)
+				res.An.Predict(d)
 			}()
 		}
 		wg.Wait()
@@ -77,12 +77,12 @@ func BenchmarkPredictUncoalesced(b *testing.B) {
 			go func() {
 				defer wg.Done()
 				prep := dse.NewPrepCache()
-				an, _, err := prep.AnalysisContext(context.Background(), k, p, d.WGSize)
+				res, err := prep.AnalysisContext(context.Background(), k, p, d.WGSize)
 				if err != nil {
 					b.Error(err)
 					return
 				}
-				an.Predict(d)
+				res.An.Predict(d)
 				mu.Lock()
 				computes += prep.Stats().Computes
 				mu.Unlock()

@@ -12,8 +12,6 @@
 //	POST /v2/explore        — enqueue an async design-space exploration job
 //	GET  /v2/jobs/{id}      — poll an exploration job
 //	GET  /v2/kernels        — list the bundled Rodinia/PolyBench corpus
-//	GET  /v2/cluster        — fleet view: ring version, peer health
-//	POST /v2/cluster/prep   — replica-to-replica prep forwarding
 //	POST /v1/predict        — legacy predict (flat bench/kernel fields)
 //	POST /v1/explore        — legacy explore
 //	GET  /v1/jobs/{id}      — legacy job poll
@@ -33,12 +31,9 @@
 // analyze → predict, and SIGTERM drains in-flight work before the
 // process exits. See docs/API.md for the wire reference.
 //
-// With Config.Peers set, N replicas form a consistent-hash fleet
-// (internal/cluster): each prep key has one owning replica, non-owners
-// fetch the owner's record through the prep cache's peer tier, and the
-// fleet compiles each distinct kernel once. The /v1 surface is frozen
-// and deprecated: every /v1 response carries Deprecation and Link
-// (successor-version) headers pointing at its /v2 equivalent.
+// The /v1 surface is frozen and deprecated: every /v1 response carries
+// Deprecation and Link (successor-version) headers pointing at its /v2
+// equivalent.
 package serve
 
 import (
@@ -59,7 +54,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/model"
@@ -99,23 +93,9 @@ type Config struct {
 	PrepCacheSize int
 	// ArtifactDir, when non-empty, persists compile+analyze results to
 	// this directory and answers prep-cache misses from it, so restarts
-	// (and other replicas sharing the directory) start warm. Corrupt or
+	// (and other processes sharing the directory) start warm. Corrupt or
 	// stale files degrade to recompute, never errors.
 	ArtifactDir string
-	// SelfURL is this replica's advertised base URL in a clustered
-	// deployment (e.g. "http://replica-0:8080"); required when Peers is
-	// non-empty. Embedders that learn their URL only after binding a
-	// listener (httptest fleets) may instead call ConfigureCluster.
-	SelfURL string
-	// Peers lists the fleet's replica base URLs (with or without
-	// SelfURL — it is added when missing). Empty, or fewer than two
-	// distinct members, leaves clustering off and the single-node
-	// behavior unchanged.
-	Peers []string
-	// PeerTimeout bounds one forwarded prep exchange against a peer
-	// (0 = 15 s). It must cover the owner's cold compile+analyze, not
-	// just the network hop.
-	PeerTimeout time.Duration
 	// RequestTimeout is the synchronous-endpoint deadline
 	// (0 = 10 s); expired requests answer 504.
 	RequestTimeout time.Duration
@@ -207,10 +187,8 @@ type Server struct {
 	prep      *dse.PrepCache
 	pred      *dse.PredCache
 	artifacts *artifact.Store
-	cluster   *cluster.Cluster
 	pool      *jobPool
 	admit     *admitter
-	fwdAdmit  *admitter
 	tracer    *telemetry.Tracer
 
 	mu sync.Mutex
@@ -232,34 +210,14 @@ func New(cfg Config) *Server {
 			store = nil
 		}
 	}
-	// The cluster is the prep cache's peer tier; unconfigured (the
-	// single-node default) it is inert and every key is local.
-	cl := cluster.New(cluster.Options{Timeout: cfg.PeerTimeout})
 	s := &Server{
 		cfg:       cfg,
 		log:       cfg.Logger,
 		reg:       obs.NewRegistry(cfg.Namespace),
-		prep:      dse.NewPrepCacheOpts(dse.PrepCacheOptions{Capacity: cfg.PrepCacheSize, Store: store, Peer: cl}),
+		prep:      dse.NewPrepCacheOpts(dse.PrepCacheOptions{Capacity: cfg.PrepCacheSize, Store: store}),
 		pred:      dse.NewPredCache(cfg.PredCacheSize),
 		artifacts: store,
-		cluster:   cl,
 		admit:     newAdmitter(cfg.MaxConcurrentPredicts, cfg.PredictQueueDepth),
-		// Forwarded preps admit through their own slot pool, disjoint
-		// from the predict lanes. A forwarded prep is a leaf of the
-		// fleet's wait graph (the owner never forwards again), while a
-		// local predict may hold its slot across a forward to a peer —
-		// sharing one pool lets every replica's slots fill with requests
-		// that are all waiting on each other's queues, a distributed
-		// deadlock that a single-CPU fleet (one slot per replica) hits
-		// almost immediately.
-		fwdAdmit: newAdmitter(cfg.MaxConcurrentPredicts, cfg.PredictQueueDepth),
-	}
-	if len(cfg.Peers) > 0 {
-		if err := s.ConfigureCluster(cfg.SelfURL, cfg.Peers); err != nil {
-			// A misconfigured fleet must not keep the service down — it
-			// only loses the compile-once property.
-			cfg.Logger.Warn("clustering disabled", "err", err)
-		}
 	}
 	s.tracer = telemetry.New(telemetry.Options{
 		Capacity:    cfg.TraceCapacity,
@@ -282,20 +240,6 @@ func New(cfg Config) *Server {
 	s.reg.Help("prep_cache_coalesced", "Lookups that joined an in-flight compile+analyze instead of duplicating it.")
 	s.reg.Help("prep_cache_evictions", "Completed prep-cache entries dropped by the capacity bound.")
 	s.reg.Help("prep_cache_disk_hits", "Prep-cache fills answered by the artifact store instead of a compile+analyze.")
-	s.reg.Help("prep_cache_peer_hits", "Prep-cache fills answered by the key's owning replica instead of a local compile+analyze.")
-	s.reg.Help("cluster_enabled", "1 when this replica is part of a multi-member fleet.")
-	s.reg.Help("cluster_peers", "Fleet membership size, including this replica.")
-	s.reg.Help("cluster_generation", "Membership reconfigurations applied to the ring since start.")
-	s.reg.Help("cluster_local_fallbacks", "Peer-owned keys computed locally because the owner was down or returned an unusable record.")
-	s.reg.Help("cluster_peer_healthy", "1 when the peer is outside its failure cooldown, by peer.")
-	s.reg.Help("cluster_forwards", "Prep fetches attempted against each peer.")
-	s.reg.Help("cluster_forward_hits", "Forwards that returned the owner's record, by peer.")
-	s.reg.Help("cluster_forward_sheds", "Forwards the owner refused with 429, by peer.")
-	s.reg.Help("cluster_forward_errors", "Forwards that failed in transport or decoding, by peer.")
-	s.reg.Help("cluster_preps_served", "Forwarded preps this replica answered as owner, by admission lane.")
-	s.reg.Help("forward_queue_wait_seconds", "Time forwarded preps spent queued for the forward slot pool, by lane.")
-	s.reg.Help("forward_shed_total", "Forwarded preps shed (429) because a forward lane was full.")
-	s.reg.Help("forward_admitted_total", "Forwarded preps admitted to the owner's compute path, by lane.")
 	s.reg.Help("artifact_hits", "Artifact-store loads that returned a valid record.")
 	s.reg.Help("artifact_misses", "Artifact-store loads that fell through to recompute (absent or invalid file).")
 	s.reg.Help("artifact_writes", "Analysis records persisted to the artifact store.")
@@ -325,8 +269,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v2/explore", s.handleV2Explore)
 	mux.HandleFunc("GET /v2/jobs/{id}", s.handleV2Job)
 	mux.HandleFunc("GET /v2/kernels", s.handleKernels)
-	mux.HandleFunc("GET /v2/cluster", s.handleClusterStatus)
-	mux.HandleFunc("POST "+cluster.PrepPath, s.handleClusterPrep)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -334,7 +276,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/traces", s.tracer.HandleList)
 	mux.HandleFunc("GET /debug/traces/{id}", s.tracer.HandleGet)
-	return obs.AccessLog(s.log, s.trace(s.instrument(s.deadline(deprecateV1(mux)))))
+	return obs.AccessLog(s.log, s.edge(mux, s.deadline(deprecateV1(mux))))
 }
 
 // deprecateV1 stamps every /v1 response with the standard deprecation
@@ -369,30 +311,25 @@ func (s *Server) deadline(next http.Handler) http.Handler {
 	})
 }
 
-// route maps a request path to its bounded metric label (job IDs must
-// not explode the label space).
-func route(path string) string {
-	if strings.HasPrefix(path, "/v1/jobs/") {
-		return "/v1/jobs/{id}"
-	}
-	if strings.HasPrefix(path, "/v2/jobs/") {
-		return "/v2/jobs/{id}"
-	}
-	return path
-}
+// routeUnmatched is the route label of every request no pattern
+// matched (404s and 405s), so unknown paths cannot mint metric series.
+const routeUnmatched = "unmatched"
 
-// instrument records the request counter and latency histogram.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		rec := obs.NewResponseRecorder(w)
-		next.ServeHTTP(rec, r)
-		rt := route(r.URL.Path)
-		s.reg.Counter("requests_total",
-			fmt.Sprintf(`route="%s",code="%d"`, rt, rec.Code)).Inc()
-		s.reg.Histogram("request_seconds", fmt.Sprintf(`route="%s"`, rt)).
-			Observe(time.Since(t0).Seconds())
-	})
+// route returns r's bounded metric label: the pattern mux matched with
+// its method stripped ("POST /v2/predict" → "/v2/predict",
+// "GET /v2/jobs/{id}" → "/v2/jobs/{id}"), or routeUnmatched. mux
+// registers no subtree ("/…/") pattern, so it never answers with a
+// trailing-slash redirect, the one case whose pattern is the request's
+// own path.
+func route(mux *http.ServeMux, r *http.Request) string {
+	_, pattern := mux.Handler(r)
+	if pattern == "" {
+		return routeUnmatched
+	}
+	if i := strings.IndexByte(pattern, ' '); i >= 0 {
+		pattern = pattern[i+1:]
+	}
+	return pattern
 }
 
 // Listen binds the configured address and returns the bound address
@@ -566,38 +503,22 @@ func decodeStrict(r io.Reader, v any) error {
 // obtained.
 type predictOutcome struct {
 	est *model.Estimate
-	// cache ∈ {"pred", "prep", "coalesced", "peer", "miss"}; see
+	// cache ∈ {"pred", "prep", "coalesced", "miss"}; see
 	// api.PredictResult.Cache.
 	cache string
 	// wait is the time spent queued for admission.
 	wait time.Duration
-	// servedBy names the replica whose compile+analyze produced the
-	// analysis when the prep crossed a replica boundary ("" otherwise);
-	// forwarded mirrors it as a boolean.
-	servedBy  string
-	forwarded bool
 }
 
 // predictErr maps a prediction-path failure to a typed API error. shed
 // responses carry the Retry-After hint; context expiry is a deadline
 // (timeout names the budget that expired, for the message only).
 func (s *Server) predictErr(err error, timeout time.Duration) *api.Error {
-	var shed *cluster.ShedError
 	switch {
 	case errors.Is(err, errShed):
 		e := api.Errf(api.CodeShed, http.StatusTooManyRequests,
 			"prediction queue full, retry after %v", s.cfg.RetryAfter)
 		e.RetryAfterSeconds = int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		return e
-	case errors.As(err, &shed):
-		// The key's owner shed the forwarded prep: surface the fleet's
-		// over-capacity signal with the owner's own backoff hint.
-		e := api.Errf(api.CodeShed, http.StatusTooManyRequests,
-			"fleet over capacity: %s shed the forwarded prep", shed.Peer)
-		e.RetryAfterSeconds = shed.RetryAfterSeconds
-		if e.RetryAfterSeconds <= 0 {
-			e.RetryAfterSeconds = int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		}
 		return e
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return api.Errf(api.CodeDeadline, http.StatusGatewayTimeout,
@@ -643,10 +564,8 @@ func (s *Server) predictCore(ctx context.Context, lane int, k *bench.Kernel, p *
 	defer release()
 	s.reg.Counter("predict_admitted_total", ll).Inc()
 
-	// The lane rides the context into the fill: if this fill forwards to
-	// the key's owner, the work lands in the same admission lane there.
-	pctx, psp := telemetry.Start(cluster.WithLane(ctx, laneName(lane)), "prep")
-	res, err := s.prep.AnalysisContextDetail(pctx, k, p, d.WGSize)
+	pctx, psp := telemetry.Start(ctx, "prep")
+	res, err := s.prep.AnalysisContext(pctx, k, p, d.WGSize)
 	psp.Annotate("outcome", res.Outcome.String())
 	if res.Source != "" {
 		psp.Annotate("source", res.Source)
@@ -660,26 +579,16 @@ func (s *Server) predictCore(ctx context.Context, lane int, k *bench.Kernel, p *
 	msp.End()
 	s.pred.Put(key, est)
 	cache := "miss"
-	switch {
-	case res.Outcome == dse.PrepCoalesced:
+	switch res.Outcome {
+	case dse.PrepCoalesced:
 		cache = "coalesced"
-	case res.Outcome == dse.PrepCached:
+	case dse.PrepCached:
 		cache = "prep"
-	case res.Source == dse.SourcePeer:
-		cache = "peer"
 	}
 	telemetry.Annotate(ctx, "cache", cache)
 	obs.AddField(ctx, "cache", cache)
 	s.reg.Counter("predict_source_total", fmt.Sprintf(`source="%s"`, cache)).Inc()
-	out := predictOutcome{est: est, cache: cache, wait: wait}
-	// A prep the fleet answered (this request led the forward, or it
-	// coalesced onto a fill that did) is attributed to its owner; once
-	// the entry is warm in this replica's memory, later requests are
-	// purely local and carry no attribution.
-	if res.Source == dse.SourcePeer && res.Outcome != dse.PrepCached {
-		out.servedBy, out.forwarded = res.Peer, true
-	}
-	return out, nil
+	return predictOutcome{est: est, cache: cache, wait: wait}, nil
 }
 
 // ---- v1 handlers (thin adapters over the v2 envelope) ----
@@ -750,7 +659,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("prep_cache_coalesced", "").Set(float64(qs.Coalesced))
 	s.reg.Gauge("prep_cache_evictions", "").Set(float64(qs.Evictions))
 	s.reg.Gauge("prep_cache_disk_hits", "").Set(float64(qs.DiskHits))
-	s.reg.Gauge("prep_cache_peer_hits", "").Set(float64(qs.PeerHits))
 	if s.artifacts != nil {
 		as := s.artifacts.Stats()
 		s.reg.Gauge("artifact_hits", "").Set(float64(as.Hits))
@@ -761,7 +669,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.admit.exportMetrics(s.reg)
 	s.pool.exportMetrics(s.reg)
-	s.exportClusterMetrics()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"maps"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -423,6 +426,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	out := string(b)
 	for _, want := range []string{
+		`# HELP flexcl_requests_total HTTP requests by route and status code.`,
 		`flexcl_requests_total{route="/v1/predict",code="200"} 2`,
 		`flexcl_requests_total{route="/v1/predict",code="404"} 1`,
 		`# TYPE flexcl_request_seconds histogram`,
@@ -448,6 +452,36 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if _, ok := vars["flexcl"]; !ok {
 		t.Error("expvar missing flexcl namespace")
+	}
+}
+
+// TestV1DeprecationHeaders: every /v1 response advertises the sunset
+// and its /v2 successor; /v2 responses carry neither.
+func TestV1DeprecationHeaders(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	resp := getJSON(t, ts.URL+"/v1/kernels", nil)
+	if resp.Header.Get("Deprecation") != "true" {
+		t.Error("/v1/kernels: missing Deprecation: true")
+	}
+	if link := resp.Header.Get("Link"); link != `</v2/kernels>; rel="successor-version"` {
+		t.Errorf("/v1/kernels: Link = %q", link)
+	}
+
+	// POST endpoints carry it too, including error responses.
+	resp, _ = postJSON(t, ts.URL+"/v1/predict", map[string]any{"bench": "nope", "kernel": "nope"})
+	if resp.Header.Get("Deprecation") != "true" {
+		t.Error("/v1/predict error response: missing Deprecation header")
+	}
+	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v2/predict") {
+		t.Errorf("/v1/predict: Link = %q, want the /v2 successor", link)
+	}
+
+	for _, path := range []string{"/v2/kernels", "/healthz"} {
+		resp := getJSON(t, ts.URL+path, nil)
+		if resp.Header.Get("Deprecation") != "" {
+			t.Errorf("%s: spurious Deprecation header", path)
+		}
 	}
 }
 
@@ -486,11 +520,42 @@ func TestQueueFull503(t *testing.T) {
 	_ = s
 }
 
+// TestRouteLabelBounded: requests are labelled with the route pattern
+// the mux matched, so unknown paths (the retired /v2/cluster routes
+// among them) and per-id lookups add no metric series of their own.
 func TestRouteLabelBounded(t *testing.T) {
-	if got := route("/v1/jobs/j000123"); got != "/v1/jobs/{id}" {
-		t.Errorf("route = %q", got)
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	serve := func(method, path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec.Code
 	}
-	if got := route("/v1/predict"); got != "/v1/predict" {
-		t.Errorf("route = %q", got)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		serve(http.MethodGet, fmt.Sprintf("/no/such/path/%d", rng.Int63()))
+	}
+	if code := serve(http.MethodGet, "/v2/cluster"); code != http.StatusNotFound {
+		t.Errorf("GET /v2/cluster = %d, want 404", code)
+	}
+	if code := serve(http.MethodPost, "/v2/cluster/prep"); code != http.StatusNotFound {
+		t.Errorf("POST /v2/cluster/prep = %d, want 404", code)
+	}
+	for i := 0; i < 20; i++ {
+		serve(http.MethodGet, fmt.Sprintf("/debug/traces/%016x", rng.Uint64()))
+		serve(http.MethodGet, fmt.Sprintf("/v2/jobs/j%06d", i))
+	}
+
+	var buf bytes.Buffer
+	s.Metrics().WritePrometheus(&buf)
+	routes := map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `flexcl_requests_total{route="`); ok {
+			routes[rest[:strings.IndexByte(rest, '"')]]++
+		}
+	}
+	want := map[string]int{routeUnmatched: 1, "/debug/traces/{id}": 1, "/v2/jobs/{id}": 1}
+	if !maps.Equal(routes, want) {
+		t.Errorf("requests_total series by route = %v, want %v", routes, want)
 	}
 }

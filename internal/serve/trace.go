@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -53,16 +54,16 @@ func validRequestID(id string) bool {
 // scrapes and probes would otherwise rotate real traffic out of the
 // ring, and tracing the trace API is just noise.
 func untraced(path string) bool {
-	return path == "/metrics" || path == "/healthz" || path == "/v2/cluster" ||
-		strings.HasPrefix(path, "/debug/")
+	return path == "/metrics" || path == "/healthz" || strings.HasPrefix(path, "/debug/")
 }
 
-// trace assigns every request its id (honoring a well-formed client
-// X-Request-ID) and opens the request-scoped root span that the rest of
-// the pipeline hangs its stage spans off. The finished trace lands in
-// the tracer's ring, retrievable as /debug/traces/{id} by the same id
-// the response header and the access log carry.
-func (s *Server) trace(next http.Handler) http.Handler {
+// edge assigns every request its id (honoring a well-formed client
+// X-Request-ID), labels it with its route, opens the request-scoped
+// root span that the rest of the pipeline hangs its stage spans off,
+// and records the request counter and latency histogram. The finished
+// trace lands in the tracer's ring, retrievable as /debug/traces/{id}
+// by the same id the response header and the access log carry.
+func (s *Server) edge(mux *http.ServeMux, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(requestIDHeader)
 		if !validRequestID(id) {
@@ -70,20 +71,23 @@ func (s *Server) trace(next http.Handler) http.Handler {
 		}
 		w.Header().Set(requestIDHeader, id)
 		obs.AddField(r.Context(), "request_id", id)
-		if untraced(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		ctx, root := s.tracer.StartTrace(r.Context(), id, r.Method+" "+route(r.URL.Path))
-		if root == nil { // tracing disabled
-			next.ServeHTTP(w, r)
-			return
-		}
+		rt := route(mux, r)
 		rec := obs.NewResponseRecorder(w)
-		defer func() {
-			root.Annotate("status", fmt.Sprint(rec.Code))
-			root.End()
-		}()
-		next.ServeHTTP(rec, r.WithContext(ctx))
+		if !untraced(r.URL.Path) {
+			ctx, root := s.tracer.StartTrace(r.Context(), id, r.Method+" "+rt)
+			if root != nil { // nil when tracing is disabled
+				defer func() {
+					root.Annotate("status", fmt.Sprint(rec.Code))
+					root.End()
+				}()
+				r = r.WithContext(ctx)
+			}
+		}
+		t0 := time.Now()
+		next.ServeHTTP(rec, r)
+		s.reg.Counter("requests_total",
+			fmt.Sprintf(`route="%s",code="%d"`, rt, rec.Code)).Inc()
+		s.reg.Histogram("request_seconds", fmt.Sprintf(`route="%s"`, rt)).
+			Observe(time.Since(t0).Seconds())
 	})
 }

@@ -380,7 +380,7 @@ func BenchmarkPredictTraced(b *testing.B)   { benchPredict(b, 256) }
 func BenchmarkPredictUntraced(b *testing.B) { benchPredict(b, -1) }
 
 // tracingAllocBudget is how many heap allocations tracing may add to
-// one warm /v2/predict. Measured with Go 1.24: +9 (205 vs 196), up to
+// one warm /v2/predict. Measured with Go 1.24: +8 (204 vs 196), up to
 // +11 under -race.
 const tracingAllocBudget = 16
 

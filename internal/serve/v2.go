@@ -40,8 +40,6 @@ func (s *Server) v2Predict(r *http.Request, req api.PredictRequest, lane int, ti
 		NPE:           est.NPE,
 		NCU:           est.NCU,
 		Cache:         out.cache,
-		ServedBy:      out.servedBy,
-		Forwarded:     out.forwarded,
 	}, nil
 }
 

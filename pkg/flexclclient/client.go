@@ -13,20 +13,11 @@
 //	    backoff(flexclclient.RetryAfter(err))
 //	}
 //
-// Construction takes functional options. A clustered deployment is
-// addressed by listing its replicas and, optionally, hedging slow
-// requests against a second replica:
+// Construction takes functional options; WithRetry makes the client
+// retry shed requests with bounded backoff:
 //
-//	c := flexclclient.New("http://replica-0:8080", nil,
-//	    flexclclient.WithPeers("http://replica-1:8080", "http://replica-2:8080"),
-//	    flexclclient.WithHedge(flexclclient.HedgePolicy{Delay: 30 * time.Millisecond}),
+//	c := flexclclient.New("http://localhost:8080", nil,
 //	    flexclclient.WithRetry(flexclclient.RetryPolicy{MaxAttempts: 4}))
-//
-// Stateless calls (Predict, PredictBatch, Kernels) rotate across the
-// replica set and fail over when a replica is unreachable; job-scoped
-// calls (Explore, Job, WaitJob) and Cluster stick to the primary
-// replica, because exploration jobs live on the replica that accepted
-// them.
 package flexclclient
 
 import (
@@ -40,13 +31,11 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/serve/api"
 )
 
@@ -76,10 +65,6 @@ type (
 	JobView = api.JobView
 	// KernelList is the corpus listing.
 	KernelList = api.KernelList
-	// ClusterSnapshot is one replica's fleet view (GET /v2/cluster).
-	ClusterSnapshot = cluster.Snapshot
-	// PeerStats is one peer's health/traffic row in a ClusterSnapshot.
-	PeerStats = cluster.PeerStats
 )
 
 // Job states, as reported in JobView.State.
@@ -201,30 +186,12 @@ func (p RetryPolicy) delay(attempt int, err error) time.Duration {
 	return d
 }
 
-// HedgePolicy makes a client launch a second, identical request
-// against another replica when the first has not answered within
-// Delay, racing the two and keeping whichever answers first (the loser
-// is cancelled through its context). At most one hedge is ever in
-// flight per call, and only stateless calls hedge — job submissions
-// never run twice. Hedging needs at least two replicas (WithPeers);
-// with one it is a no-op.
-type HedgePolicy struct {
-	// Delay is the latency threshold before the hedge launches
-	// (0 disables hedging).
-	Delay time.Duration
-}
-
-// Client talks to a flexcl-serve deployment — one replica, or a
-// replica set via WithPeers. The zero value is not usable; construct
-// with New.
+// Client talks to one flexcl-serve instance. The zero value is not
+// usable; construct with New.
 type Client struct {
-	base  string   // primary replica (New's baseURL)
-	peers []string // full replica set, primary first
+	base  string
 	http  *http.Client
 	retry RetryPolicy
-	hedge HedgePolicy
-	// rr is the round-robin cursor for spread calls.
-	rr atomic.Uint64
 	// sleep is swapped out by tests; nil means a real timer wait.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -238,41 +205,9 @@ func WithRetry(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithPeers adds replica base URLs to the client's set. The primary
-// (New's baseURL) is always a member and stays first; duplicates and
-// trailing slashes are folded away. Stateless calls rotate across the
-// set and fail over past unreachable replicas.
-func WithPeers(urls ...string) Option {
-	return func(c *Client) {
-		for _, u := range urls {
-			u = strings.TrimRight(strings.TrimSpace(u), "/")
-			if u != "" && !slices.Contains(c.peers, u) {
-				c.peers = append(c.peers, u)
-			}
-		}
-	}
-}
-
-// WithHedge enables latency hedging for stateless calls (see
-// HedgePolicy).
-func WithHedge(p HedgePolicy) Option {
-	return func(c *Client) { c.hedge = p }
-}
-
-// WithTransport sets the http.Client used for every exchange (nil is
-// ignored, keeping the default).
-func WithTransport(h *http.Client) Option {
-	return func(c *Client) {
-		if h != nil {
-			c.http = h
-		}
-	}
-}
-
 // New returns a client for the service at baseURL (e.g.
-// "http://localhost:8080"). httpClient may be nil (http.DefaultClient;
-// WithTransport is the options-style spelling). Additional behavior —
-// retries, replica awareness, hedging — is layered on with options.
+// "http://localhost:8080"). httpClient may be nil (http.DefaultClient).
+// Retries are layered on with WithRetry.
 func New(baseURL string, httpClient *http.Client, opts ...Option) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
@@ -281,33 +216,16 @@ func New(baseURL string, httpClient *http.Client, opts ...Option) *Client {
 		base: strings.TrimRight(baseURL, "/"),
 		http: httpClient,
 	}
-	c.peers = []string{c.base}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
 }
 
-// Peers returns the client's replica set, primary first.
-func (c *Client) Peers() []string { return append([]string(nil), c.peers...) }
-
-// routing classifies a call's relationship to the replica set.
-type routing int
-
-const (
-	// sticky calls address the primary replica only: job state lives on
-	// the replica that accepted the job, and submissions must not run
-	// twice.
-	sticky routing = iota
-	// spread calls are stateless and idempotent: any replica answers
-	// identically, so they rotate, fail over and hedge.
-	spread
-)
-
 // Predict runs one synchronous prediction.
 func (c *Client) Predict(ctx context.Context, req PredictRequest) (*PredictResult, error) {
 	var out PredictResult
-	if err := c.do(ctx, http.MethodPost, "/v2/predict", req, &out, spread); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/predict", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -318,38 +236,26 @@ func (c *Client) Predict(ctx context.Context, req PredictRequest) (*PredictResul
 // non-nil only when the batch envelope itself was rejected.
 func (c *Client) PredictBatch(ctx context.Context, req BatchPredictRequest) (*BatchPredictResponse, error) {
 	var out BatchPredictResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/predict:batch", req, &out, spread); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/predict:batch", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // Explore submits an asynchronous exploration job; poll it with Job or
-// WaitJob. Submissions go to the primary replica and are never hedged
-// or failed over — a retried submission would create a second job.
+// WaitJob.
 func (c *Client) Explore(ctx context.Context, req ExploreRequest) (*JobAccepted, error) {
 	var out JobAccepted
-	if err := c.do(ctx, http.MethodPost, "/v2/explore", req, &out, sticky); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/explore", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// Job fetches the current state of an exploration job (from the
-// primary replica — jobs live where they were submitted).
+// Job fetches the current state of an exploration job.
 func (c *Client) Job(ctx context.Context, id string) (*JobView, error) {
 	var out JobView
-	if err := c.do(ctx, http.MethodGet, "/v2/jobs/"+id, nil, &out, sticky); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Cluster fetches the primary replica's fleet view: ring version, peer
-// table, per-peer health and forward counters.
-func (c *Client) Cluster(ctx context.Context) (*ClusterSnapshot, error) {
-	var out ClusterSnapshot
-	if err := c.do(ctx, http.MethodGet, "/v2/cluster", nil, &out, sticky); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v2/jobs/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -383,7 +289,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*J
 // Kernels lists the bundled benchmark corpus.
 func (c *Client) Kernels(ctx context.Context) (*KernelList, error) {
 	var out KernelList
-	if err := c.do(ctx, http.MethodGet, "/v2/kernels", nil, &out, spread); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v2/kernels", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -405,11 +311,10 @@ func newRequestID() string {
 	return fmt.Sprintf("cli-%s-%d", reqPrefix, reqSeq.Add(1))
 }
 
-// do performs one logical API exchange: encode the body, route it
-// across the replica set per mode, retry shed responses when the
-// client carries a RetryPolicy. Each attempt is a fresh request with
-// its own X-Request-ID.
-func (c *Client) do(ctx context.Context, method, path string, body, out any, mode routing) error {
+// do performs one logical API exchange: encode the body, send it,
+// retry shed responses when the client carries a RetryPolicy. Each
+// attempt is a fresh request with its own X-Request-ID.
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var buf []byte
 	if body != nil {
 		var err error
@@ -423,7 +328,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, mod
 	}
 	policy := c.retry.withDefaults()
 	for attempt := 0; ; attempt++ {
-		raw, err := c.exchange(ctx, method, path, buf, mode)
+		raw, err := c.roundTrip(ctx, method, c.base+path, buf)
 		if err == nil {
 			if out == nil {
 				return nil
@@ -440,111 +345,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, mod
 			// Context expired mid-backoff: surface the shed error (it
 			// names the request id) wrapped with the context cause.
 			return fmt.Errorf("flexclclient: giving up during retry backoff: %w (last error: %v)", serr, err)
-		}
-	}
-}
-
-// exchange routes one attempt across the replica set. Sticky calls go
-// to the primary replica, full stop. Spread calls walk the rotated set
-// — hedged when a HedgePolicy is armed and a second replica exists,
-// sequential with failover otherwise.
-func (c *Client) exchange(ctx context.Context, method, path string, body []byte, mode routing) ([]byte, error) {
-	if mode == sticky {
-		return c.sequential(ctx, method, path, body, c.peers[:1], false)
-	}
-	bases := c.rotation()
-	if c.hedge.Delay > 0 && len(bases) > 1 {
-		return c.hedged(ctx, method, path, body, bases)
-	}
-	return c.sequential(ctx, method, path, body, bases, true)
-}
-
-// rotation returns the replica set starting at the round-robin cursor:
-// spread calls distribute load across the fleet while each call still
-// sees every replica as a failover or hedge candidate.
-func (c *Client) rotation() []string {
-	if len(c.peers) <= 1 {
-		return c.peers
-	}
-	start := int((c.rr.Add(1) - 1) % uint64(len(c.peers)))
-	out := make([]string, 0, len(c.peers))
-	for i := range c.peers {
-		out = append(out, c.peers[(start+i)%len(c.peers)])
-	}
-	return out
-}
-
-// sequential tries bases in order. A server verdict — success or a
-// typed API error — ends the walk; transport errors fall through to
-// the next replica when failover is on.
-func (c *Client) sequential(ctx context.Context, method, path string, body []byte, bases []string, failover bool) ([]byte, error) {
-	var lastErr error
-	for _, base := range bases {
-		raw, err := c.roundTrip(ctx, method, base+path, body)
-		var ae *APIError
-		if err == nil || errors.As(err, &ae) {
-			return raw, err
-		}
-		lastErr = err
-		if !failover || ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, lastErr
-}
-
-// hedged races the request against bases[0] and — once the hedge delay
-// passes without a verdict, or immediately when the first attempt dies
-// in transport — against bases[1]. The first server verdict (success
-// or typed API error) wins and cancels the straggler through its
-// context; the call fails only when every launched attempt failed.
-func (c *Client) hedged(ctx context.Context, method, path string, body []byte, bases []string) ([]byte, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // first-wins: reels the losing attempt in
-	type attempt struct {
-		raw []byte
-		err error
-	}
-	resc := make(chan attempt, 2)
-	start := func(base string) {
-		go func() {
-			raw, err := c.roundTrip(hctx, method, base+path, body)
-			resc <- attempt{raw, err}
-		}()
-	}
-	start(bases[0])
-	inflight, settled := 1, 0
-	timer := time.NewTimer(c.hedge.Delay)
-	defer timer.Stop()
-	timerC := timer.C
-	var lastErr error
-	for {
-		select {
-		case <-timerC:
-			timerC = nil
-			start(bases[1])
-			inflight++
-		case r := <-resc:
-			settled++
-			var ae *APIError
-			if r.err == nil || errors.As(r.err, &ae) {
-				return r.raw, r.err
-			}
-			lastErr = r.err
-			if ctx.Err() != nil {
-				return nil, lastErr
-			}
-			if inflight < 2 {
-				// The first attempt died before the hedge timer fired:
-				// promote the hedge immediately.
-				timerC = nil
-				start(bases[1])
-				inflight++
-			} else if settled == inflight {
-				return nil, lastErr
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
 	}
 }

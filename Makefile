@@ -41,11 +41,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAffineAnalyzer$$' -fuzztime=$(FUZZTIME) ./internal/interp
 
 # Run every in-package benchmark once, so the on-demand comparisons the
-# docs point to (BenchmarkPredict, BenchmarkSearchVsExplore, ...) keep
-# running, not just compiling. It measures nothing; perfbench/ is the
-# benchmark.
+# docs point to (the root package's paper-table benchmarks,
+# BenchmarkPredict, BenchmarkSearchVsExplore, ...) keep running, not just
+# compiling. It measures nothing; perfbench/ is the benchmark.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/...
 
 # Every tracked Go file must be gofmt-clean.
 fmt-check:

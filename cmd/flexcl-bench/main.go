@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/experiments"
 )
@@ -51,25 +52,20 @@ func main() {
 	}
 
 	cfg := experiments.Config{MaxKernels: *maxKernels, SimMaxGroups: *simGroups, Workers: *workers}
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "flexcl-bench %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
+	type experiment struct {
+		id  string
+		run func() error
 	}
+	var exps []experiment
+	add := func(id string, run func() error) { exps = append(exps, experiment{id, run}) }
 
-	run("table1", func() error {
+	add("table1", func() error {
 		t := experiments.Table1(cfg)
 		t.Write(os.Stdout)
 		writeCSV("table1.csv", t.CSV())
 		return nil
 	})
-	run("table2", func() error {
+	add("table2", func() error {
 		t, sum, err := experiments.Table2(cfg)
 		if err != nil {
 			return err
@@ -84,7 +80,7 @@ func main() {
 			float64(sum.TotalSimTime)/float64(sum.TotalModelTime))
 		return nil
 	})
-	run("polybench", func() error {
+	add("polybench", func() error {
 		t, sum, err := experiments.PolybenchAccuracy(cfg)
 		if err != nil {
 			return err
@@ -94,7 +90,7 @@ func main() {
 		fmt.Printf("\nPolyBench summary: FlexCL avg |err| %.1f%% (paper: 8.7%%)\n", sum.AvgFlexCLErr)
 		return nil
 	})
-	run("fig4", func() error {
+	add("fig4", func() error {
 		series, err := experiments.Fig4(cfg)
 		if err != nil {
 			return err
@@ -106,7 +102,7 @@ func main() {
 		}
 		return nil
 	})
-	run("robustness", func() error {
+	add("robustness", func() error {
 		rows, err := experiments.Robustness(cfg)
 		if err != nil {
 			return err
@@ -117,7 +113,7 @@ func main() {
 		}
 		return nil
 	})
-	run("dsequality", func() error {
+	add("dsequality", func() error {
 		r, err := experiments.DSEQuality(cfg, nil)
 		if err != nil {
 			return err
@@ -129,7 +125,7 @@ func main() {
 			"(paper: >10,000x vs real synthesis+P&R)\n", r.SpeedupRate)
 		return nil
 	})
-	run("searchcmp", func() error {
+	add("searchcmp", func() error {
 		r, err := experiments.SearchComparison(cfg)
 		if err != nil {
 			return err
@@ -139,7 +135,7 @@ func main() {
 			r.Kernels, r.FlexCLOptimal*100, r.HeuristicOptimal*100)
 		return nil
 	})
-	run("ablation", func() error {
+	add("ablation", func() error {
 		rows, err := experiments.AblationStudy(cfg, nil)
 		if err != nil {
 			return err
@@ -149,4 +145,26 @@ func main() {
 		}
 		return nil
 	})
+
+	ids := make([]string, len(exps))
+	known := *exp == "all"
+	for i, e := range exps {
+		ids[i] = e.id
+		known = known || *exp == e.id
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "flexcl-bench: unknown -exp %q (want %s or all)\n", *exp, strings.Join(ids, ", "))
+		os.Exit(2)
+	}
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.id {
+			continue
+		}
+		fmt.Printf("==== %s ====\n", e.id)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "flexcl-bench %s: %v\n", e.id, err)
+			os.Exit(1)
+		}
+		fmt.Println()
+	}
 }

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/report"
@@ -107,7 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	r, err := core.ExploreOpts(ctx, k, core.ExploreOptions{
+	r, err := dse.Explore(ctx, k, dse.Options{
 		Platform:     p,
 		SimMaxGroups: 8,
 		SkipActual:   !*sim,
@@ -184,8 +183,8 @@ func finishTrace(tr *telemetry.Tracer, root *telemetry.Span) {
 
 // runGuided runs the branch-and-bound search and prints the evaluated
 // points (and, for pareto, the frontier).
-func runGuided(ctx context.Context, k *bench.Kernel, p *core.Platform, strategy string, workers, top int, cache *dse.PrepCache) {
-	sr, err := core.Search(ctx, k, core.SearchOptions{
+func runGuided(ctx context.Context, k *bench.Kernel, p *device.Platform, strategy string, workers, top int, cache *dse.PrepCache) {
+	sr, err := dse.Search(ctx, k, dse.SearchOptions{
 		Platform: p,
 		Workers:  workers,
 		Pareto:   strategy == dse.StrategyPareto,

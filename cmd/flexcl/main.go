@@ -21,9 +21,12 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/irgen"
+	"repro/internal/model"
+	"repro/internal/rtlsim"
 	"repro/internal/telemetry"
 )
 
@@ -81,12 +84,15 @@ func main() {
 	}
 
 	_, csp := telemetry.Start(ctx, "compile")
-	prog, err := core.Compile(*file, src, map[string]string{"WG": fmt.Sprint(*wg)})
+	mod, err := irgen.Compile(*file, src, map[string]string{"WG": fmt.Sprint(*wg)})
 	csp.End()
 	fatal(err)
-	f := prog.Kernels[0]
+	if len(mod.Kernels) == 0 {
+		fatal(fmt.Errorf("no __kernel functions in %s", *file))
+	}
+	f := mod.Kernels[0]
 	if *kernel != "" {
-		if f = prog.Kernel(*kernel); f == nil {
+		if f = mod.Kernel(*kernel); f == nil {
 			fatal(fmt.Errorf("kernel %s not found", *kernel))
 		}
 	}
@@ -97,15 +103,15 @@ func main() {
 	}
 
 	launch := makeLaunch(f, *global, *wg, args)
-	an, err := core.Analyze(ctx, f, p, launch)
+	an, err := model.Analyze(ctx, f, p, launch, model.AnalysisOptions{})
 	fatal(err)
 
-	d := core.Design{
+	d := model.Design{
 		WGSize: *wg, WIPipeline: *pipeline, PE: *pe, CU: *cu,
-		Mode: core.ModeBarrier,
+		Mode: model.ModeBarrier,
 	}
 	if *mode == "pipeline" {
-		d.Mode = core.ModePipeline
+		d.Mode = model.ModePipeline
 	}
 	_, msp := telemetry.Start(ctx, "model")
 	est := an.Predict(d)
@@ -138,7 +144,7 @@ func main() {
 	if *simulate {
 		launch2 := makeLaunch(f, *global, *wg, args)
 		_, ssp := telemetry.Start(ctx, "simulate")
-		sim, err := core.Simulate(f, p, launch2, d, 8)
+		sim, err := rtlsim.Simulate(f, p, launch2, d, rtlsim.Options{MaxGroups: 8})
 		ssp.End()
 		fatal(err)
 		errPct := 0.0
@@ -160,25 +166,25 @@ func main() {
 // makeLaunch synthesizes buffers and scalars for an arbitrary kernel:
 // pointer parameters get deterministic pseudo-noise buffers sized from
 // the global work size; integer scalars default to the problem size.
-func makeLaunch(f *ir.Func, global, wg int64, args argList) *core.Launch {
-	launch := &core.Launch{
-		Range:   core.NDRange{Global: [3]int64{global}, Local: [3]int64{wg}},
-		Buffers: map[string]*core.Buffer{},
-		Scalars: map[string]core.Arg{},
+func makeLaunch(f *ir.Func, global, wg int64, args argList) *interp.Config {
+	launch := &interp.Config{
+		Range:   interp.NDRange{Global: [3]int64{global}, Local: [3]int64{wg}},
+		Buffers: map[string]*interp.Buffer{},
+		Scalars: map[string]interp.Val{},
 	}
 	for _, prm := range f.Params {
 		if prm.T.Ptr {
 			elem := prm.T.Elem()
 			n := int(global) * 16 * elem.Lanes()
 			if elem.Base.IsFloat() {
-				b := core.NewFloatBuffer(elem.Base, n)
+				b := interp.NewFloatBuffer(elem.Base, n)
 				for i := range b.F {
 					h := uint64(i) * 0x9e3779b97f4a7c15
 					b.F[i] = float64(h%1000) / 1000
 				}
 				launch.Buffers[prm.PName] = b
 			} else {
-				b := core.NewIntBuffer(elem.Base, n)
+				b := interp.NewIntBuffer(elem.Base, n)
 				for i := range b.I {
 					b.I[i] = int64(i % 97)
 				}
@@ -190,7 +196,7 @@ func makeLaunch(f *ir.Func, global, wg int64, args argList) *core.Launch {
 		if !ok {
 			v = global // int scalars default to the problem size
 		}
-		launch.Scalars[prm.PName] = core.IntArg(v)
+		launch.Scalars[prm.PName] = interp.IntVal(v)
 	}
 	return launch
 }

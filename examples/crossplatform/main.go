@@ -11,8 +11,9 @@ import (
 	"log"
 
 	"repro/internal/bench"
-	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/gpumodel"
+	"repro/internal/model"
 	"repro/internal/rtlsim"
 )
 
@@ -22,13 +23,13 @@ func main() {
 		log.Fatal("pathfinder kernel not registered")
 	}
 
-	designs := []core.Design{
-		{WGSize: 64, WIPipeline: true, PE: 1, CU: 1, Mode: core.ModeBarrier},
-		{WGSize: 128, WIPipeline: true, PE: 2, CU: 2, Mode: core.ModeBarrier},
-		{WGSize: 256, WIPipeline: true, PE: 4, CU: 4, Mode: core.ModeBarrier},
+	designs := []model.Design{
+		{WGSize: 64, WIPipeline: true, PE: 1, CU: 1, Mode: model.ModeBarrier},
+		{WGSize: 128, WIPipeline: true, PE: 2, CU: 2, Mode: model.ModeBarrier},
+		{WGSize: 256, WIPipeline: true, PE: 4, CU: 4, Mode: model.ModeBarrier},
 	}
 
-	for _, p := range []*core.Platform{core.Virtex7(), core.KU060()} {
+	for _, p := range []*device.Platform{device.Virtex7(), device.KU060()} {
 		fmt.Printf("%s (%.0f MHz, %d-bank DRAM):\n", p.Name, p.ClockMHz, p.DRAM.Banks)
 		var sumErr float64
 		for _, d := range designs {
@@ -36,7 +37,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			an, err := core.Analyze(context.Background(), f, p, k.Config(d.WGSize))
+			an, err := model.Analyze(context.Background(), f, p, k.Config(d.WGSize), model.AnalysisOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -46,7 +47,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			sim, err := core.Simulate(f2, p, k.Config(d.WGSize), d, 8)
+			sim, err := rtlsim.Simulate(f2, p, k.Config(d.WGSize), d, rtlsim.Options{MaxGroups: 8})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -66,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := core.Analyze(context.Background(), f, core.Virtex7(), k.Config(256))
+	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(256), model.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

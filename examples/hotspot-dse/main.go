@@ -14,7 +14,10 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/dse"
+	"repro/internal/model"
+	"repro/internal/rtlsim"
 )
 
 func main() {
@@ -22,12 +25,12 @@ func main() {
 	if k == nil {
 		log.Fatal("hotspot kernel not registered")
 	}
-	platform := core.Virtex7()
+	platform := device.Virtex7()
 
 	// Phase 1: model-only exploration (this is what replaces hours of
 	// synthesis per design point), sharded over every core. Workers: 1
 	// would produce the identical ranking, just serially.
-	modelOnly, err := core.ExploreOpts(context.Background(), k, core.ExploreOptions{
+	modelOnly, err := dse.Explore(context.Background(), k, dse.Options{
 		Platform:   platform,
 		SkipActual: true, SkipBaseline: true,
 		Workers: runtime.GOMAXPROCS(0),
@@ -51,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := core.Simulate(f, platform, k.Config(pt.Design.WGSize), pt.Design, 8)
+		sim, err := rtlsim.Simulate(f, platform, k.Config(pt.Design.WGSize), pt.Design, rtlsim.Options{MaxGroups: 8})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,5 +66,5 @@ func main() {
 	fmt.Printf("\nbest/worst estimated ratio: %.0fx — the design space matters\n",
 		worst.Est/best.Est)
 	fmt.Printf("hotspot contains a barrier, so every design runs in %v mode\n",
-		core.ModeBarrier)
+		model.ModeBarrier)
 }

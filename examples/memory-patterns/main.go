@@ -11,11 +11,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dram"
 	"repro/internal/interp"
+	"repro/internal/irgen"
 	"repro/internal/model"
+	"repro/internal/opencl/ast"
 	"repro/internal/trace"
 )
 
@@ -34,7 +35,7 @@ __kernel void random_access(__global const float* in, __global float* out, int n
 }`
 
 func main() {
-	prog, err := core.Compile("patterns.cl", []byte(kernels), nil)
+	mod, err := irgen.Compile("patterns.cl", []byte(kernels), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	fmt.Println()
 
 	for _, name := range []string{"seq", "strided", "random_access"} {
-		k := prog.Kernel(name)
+		k := mod.Kernel(name)
 		launch := makeLaunch(n, wg)
 		prof, err := interp.ProfileKernel(k, launch, 4)
 		if err != nil {
@@ -73,7 +74,7 @@ func main() {
 		fmt.Printf("  L_mem^wi = %.2f cycles (Eq. 9)\n", trace.MemLatencyWI(cls, lat))
 
 		// How the memory behaviour decides the communication mode.
-		an, err := core.Analyze(context.Background(), k, p, makeLaunch(n, wg))
+		an, err := model.Analyze(context.Background(), k, p, makeLaunch(n, wg), model.AnalysisOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,15 +92,15 @@ func better(bar, pipe float64) string {
 	return "barrier"
 }
 
-func makeLaunch(n int, wg int64) *core.Launch {
-	in := core.NewFloatBuffer(core.Float, n)
-	out := core.NewFloatBuffer(core.Float, n)
+func makeLaunch(n int, wg int64) *interp.Config {
+	in := interp.NewFloatBuffer(ast.KFloat, n)
+	out := interp.NewFloatBuffer(ast.KFloat, n)
 	for i := 0; i < n; i++ {
 		in.F[i] = float64(i%13) * 0.5
 	}
-	return &core.Launch{
-		Range:   core.NDRange{Global: [3]int64{int64(n)}, Local: [3]int64{wg}},
-		Buffers: map[string]*core.Buffer{"in": in, "out": out},
-		Scalars: map[string]core.Arg{"n": core.IntArg(int64(n))},
+	return &interp.Config{
+		Range:   interp.NDRange{Global: [3]int64{int64(n)}, Local: [3]int64{wg}},
+		Buffers: map[string]*interp.Buffer{"in": in, "out": out},
+		Scalars: map[string]interp.Val{"n": interp.IntVal(int64(n))},
 	}
 }

@@ -9,7 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/interp"
+	"repro/internal/irgen"
+	"repro/internal/model"
+	"repro/internal/opencl/ast"
+	"repro/internal/rtlsim"
 )
 
 const saxpy = `
@@ -21,43 +26,43 @@ __kernel void saxpy(__global const float* x, __global float* y, int n) {
 }`
 
 func main() {
-	prog, err := core.Compile("saxpy.cl", []byte(saxpy), nil)
+	mod, err := irgen.Compile("saxpy.cl", []byte(saxpy), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	k := prog.Kernel("saxpy")
-	platform := core.Virtex7()
+	k := mod.Kernel("saxpy")
+	platform := device.Virtex7()
 
 	const n = 4096
-	makeLaunch := func(wg int64) *core.Launch {
-		x := core.NewFloatBuffer(core.Float, n)
-		y := core.NewFloatBuffer(core.Float, n)
+	makeLaunch := func(wg int64) *interp.Config {
+		x := interp.NewFloatBuffer(ast.KFloat, n)
+		y := interp.NewFloatBuffer(ast.KFloat, n)
 		for i := 0; i < n; i++ {
 			x.F[i] = float64(i) * 0.25
 			y.F[i] = 1.0
 		}
-		return &core.Launch{
-			Range:   core.NDRange{Global: [3]int64{n}, Local: [3]int64{wg}},
-			Buffers: map[string]*core.Buffer{"x": x, "y": y},
-			Scalars: map[string]core.Arg{"n": core.IntArg(n)},
+		return &interp.Config{
+			Range:   interp.NDRange{Global: [3]int64{n}, Local: [3]int64{wg}},
+			Buffers: map[string]*interp.Buffer{"x": x, "y": y},
+			Scalars: map[string]interp.Val{"n": interp.IntVal(n)},
 		}
 	}
 
-	designs := []core.Design{
-		{WGSize: 64, WIPipeline: false, PE: 1, CU: 1, Mode: core.ModeBarrier},
-		{WGSize: 64, WIPipeline: true, PE: 1, CU: 1, Mode: core.ModeBarrier},
-		{WGSize: 64, WIPipeline: true, PE: 4, CU: 2, Mode: core.ModePipeline},
-		{WGSize: 256, WIPipeline: true, PE: 8, CU: 4, Mode: core.ModePipeline},
+	designs := []model.Design{
+		{WGSize: 64, WIPipeline: false, PE: 1, CU: 1, Mode: model.ModeBarrier},
+		{WGSize: 64, WIPipeline: true, PE: 1, CU: 1, Mode: model.ModeBarrier},
+		{WGSize: 64, WIPipeline: true, PE: 4, CU: 2, Mode: model.ModePipeline},
+		{WGSize: 256, WIPipeline: true, PE: 8, CU: 4, Mode: model.ModePipeline},
 	}
 
 	fmt.Println("design                               estimate     simulated    error")
 	for _, d := range designs {
-		an, err := core.Analyze(context.Background(), k, platform, makeLaunch(d.WGSize))
+		an, err := model.Analyze(context.Background(), k, platform, makeLaunch(d.WGSize), model.AnalysisOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		est := an.Predict(d)
-		sim, err := core.Simulate(k, platform, makeLaunch(d.WGSize), d, 0)
+		sim, err := rtlsim.Simulate(k, platform, makeLaunch(d.WGSize), d, rtlsim.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,7 +72,7 @@ func main() {
 	}
 
 	// The estimate also converts to wall time on the platform clock.
-	an, _ := core.Analyze(context.Background(), k, platform, makeLaunch(64))
+	an, _ := model.Analyze(context.Background(), k, platform, makeLaunch(64), model.AnalysisOptions{})
 	best := an.Predict(designs[2])
 	fmt.Printf("\nbest shown design runs in ~%.1f µs at %.0f MHz\n",
 		best.Seconds*1e6, platform.ClockMHz)

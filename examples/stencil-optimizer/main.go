@@ -14,7 +14,11 @@ import (
 	"log"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/bench"
+	"repro/internal/device"
+	"repro/internal/dse"
+	"repro/internal/model"
+	"repro/internal/rtlsim"
 )
 
 // The naive variant makes the classic mistake: it stores the grid
@@ -58,25 +62,28 @@ __kernel void jacobi(__global const float* in, __global float* out, int w, int h
 const dim = 64
 
 func main() {
-	variants := map[string]string{"naive": naive, "tiled-local": tiled}
+	variants := []struct{ name, src string }{{"naive", naive}, {"tiled-local", tiled}}
 	results := map[string]float64{}
+	platform := device.Virtex7()
 
-	for name, src := range variants {
-		w := &core.Workload{
-			Suite: "example", Bench: "stencil", Name: name, Fn: "jacobi",
-			Source: src, TwoD: true,
+	for _, v := range variants {
+		w := &bench.Kernel{
+			Suite: "example", Bench: "stencil", Name: v.name, Fn: "jacobi",
+			Source: v.src, TwoD: true,
 			Global: [3]int64{dim, dim},
 			MinWG:  16, MaxWG: 256,
 			Scalars: map[string]int64{"w": dim, "h": dim},
 		}
 		w.Bufs = append(w.Bufs,
-			core.BufSpec{Name: "in", Float: true, Len: dim * dim, Fill: core.FillNoise},
-			core.BufSpec{Name: "out", Float: true, Len: dim * dim},
+			bench.Buf{Name: "in", Float: true, Len: dim * dim, Fill: bench.FillNoise},
+			bench.Buf{Name: "out", Float: true, Len: dim * dim},
 		)
 
 		// Rank the whole design space analytically, then validate the
 		// winner in the simulator.
-		r, err := core.Explore(context.Background(), w, core.Virtex7(), true)
+		r, err := dse.Explore(context.Background(), w, dse.Options{
+			Platform: platform, SkipActual: true, SkipBaseline: true,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,20 +95,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		an, err := core.Analyze(context.Background(), f, core.Virtex7(), w.Config(best.Design.WGSize))
+		an, err := model.Analyze(context.Background(), f, platform, w.Config(best.Design.WGSize), model.AnalysisOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		est := an.Predict(best.Design)
 		f2, _ := w.Compile(best.Design.WGSize)
-		sim, err := core.Simulate(f2, core.Virtex7(), w.Config(best.Design.WGSize), best.Design, 8)
+		sim, err := rtlsim.Simulate(f2, platform, w.Config(best.Design.WGSize), best.Design, rtlsim.Options{MaxGroups: 8})
 		if err != nil {
 			log.Fatal(err)
 		}
-		results[name] = sim.Cycles
+		results[v.name] = sim.Cycles
 
 		diag := an.Diagnose(est)
-		fmt.Printf("%-12s best design %v\n", name, best.Design)
+		fmt.Printf("%-12s best design %v\n", v.name, best.Design)
 		fmt.Printf("             est %.0f cy, sim %.0f cy, bottleneck: %v\n",
 			est.Cycles, sim.Cycles, diag.Bottleneck)
 		for _, h := range diag.Hints {

@@ -450,14 +450,6 @@ func (t *LatencyTable) Latency(c OpClass) float64 { return t.Avg[c] }
 // DSPCost returns the DSP-slice cost of a class per scalar lane.
 func (t *LatencyTable) DSPCost(c OpClass) int { return t.DSP[c] }
 
-// CoreII returns the initiation interval of the class's core.
-func (t *LatencyTable) CoreII(c OpClass) int {
-	if t.II[c] <= 0 {
-		return 1
-	}
-	return t.II[c]
-}
-
 // Profile runs the micro-benchmark profiling step: for each operation
 // class it samples the implementation variants the tool chooses across
 // many synthetic instances and records the mean latency. Deterministic

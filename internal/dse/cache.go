@@ -176,9 +176,6 @@ func NewPrepCacheOpts(opts PrepCacheOptions) *PrepCache {
 	}
 }
 
-// Store returns the artifact store backing this cache, or nil.
-func (c *PrepCache) Store() *artifact.Store { return c.store }
-
 // entry returns the cache slot for one WG size, creating it if absent.
 // created reports whether this caller must run the fill; coalesced
 // reports that the entry existed but its fill was still in flight.

@@ -52,6 +52,31 @@ __kernel void vadd(__global const float* a, __global const float* b,
 	}
 }
 
+func TestFloatScalarArg(t *testing.T) {
+	k := compileKernel(t, `
+__kernel void scale(__global float* y, float a) {
+    int i = get_global_id(0);
+    y[i] = y[i] * a;
+}`, "scale")
+	y := NewFloatBuffer(ast.KFloat, 8)
+	for i := range y.F {
+		y.F[i] = 2
+	}
+	cfg := &Config{
+		Range:   NDRange{Global: [3]int64{8}, Local: [3]int64{8}},
+		Buffers: map[string]*Buffer{"y": y},
+		Scalars: map[string]Val{"a": FloatVal(1.5)},
+	}
+	if err := Run(k, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range y.F {
+		if v != 3 {
+			t.Fatalf("y[%d] = %v, want 3", i, v)
+		}
+	}
+}
+
 func TestLoopAccumulation(t *testing.T) {
 	k := compileKernel(t, `
 __kernel void rowsum(__global const float* m, __global float* out, int cols) {

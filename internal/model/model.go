@@ -133,22 +133,19 @@ type AnalysisOptions struct {
 	// ProfileGroups is how many work-groups the dynamic profiler runs
 	// (§3.2: "only a few work-groups are profiled"). Default 8.
 	ProfileGroups int
-	// DRAMSamples sets the micro-benchmark length for pattern profiling.
-	DRAMSamples int
-	// OpSamples sets the op-latency profiling sample count.
-	OpSamples int
 }
+
+// The device micro-benchmark lengths: the op-latency profiling sample
+// count and the DRAM pattern-profiling length.
+const (
+	opSamples   = 256
+	dramSamples = 4096
+)
 
 // withDefaults fills the unset options.
 func (o AnalysisOptions) withDefaults() AnalysisOptions {
 	if o.ProfileGroups <= 0 {
 		o.ProfileGroups = 8
-	}
-	if o.DRAMSamples <= 0 {
-		o.DRAMSamples = 4096
-	}
-	if o.OpSamples <= 0 {
-		o.OpSamples = 256
 	}
 	return o
 }
@@ -188,7 +185,7 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	if err != nil {
 		return nil, fmt.Errorf("model: profiling %s: %w", f.Name, err)
 	}
-	ans, err := finish(ctx, f, p, []interp.NDRange{cfg.Range.Normalize()}, []*interp.Profile{prof}, []*trace.Stream{stream}, opts)
+	ans, err := finish(ctx, f, p, []interp.NDRange{cfg.Range.Normalize()}, []*interp.Profile{prof}, []*trace.Stream{stream})
 	if err != nil {
 		return nil, err
 	}
@@ -238,14 +235,14 @@ func AnalyzeSweep(ctx context.Context, f *ir.Func, p *device.Platform, cfg *inte
 	if err != nil {
 		return nil, fmt.Errorf("model: profiling %s: %w", f.Name, err)
 	}
-	return finish(ctx, f, p, nds, profs, streams, opts)
+	return finish(ctx, f, p, nds, profs, streams)
 }
 
 // finish completes Analyze and AnalyzeSweep once profiling is done: it
 // reduces each launch's stream to per-work-item averages ("memtrace"),
 // profiles the device once ("devprofile") and assembles one Analysis
 // per launch geometry nds[i].
-func finish(ctx context.Context, f *ir.Func, p *device.Platform, nds []interp.NDRange, profs []*interp.Profile, streams []*trace.Stream, opts AnalysisOptions) ([]*Analysis, error) {
+func finish(ctx context.Context, f *ir.Func, p *device.Platform, nds []interp.NDRange, profs []*interp.Profile, streams []*trace.Stream) ([]*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
 	}
@@ -262,8 +259,8 @@ func finish(ctx context.Context, f *ir.Func, p *device.Platform, nds []interp.ND
 		return nil, fmt.Errorf("model: analyzing %s: %w", f.Name, err)
 	}
 	_, dsp := telemetry.Start(ctx, "devprofile")
-	table := device.Profile(p, opts.OpSamples)
-	patLat := dram.ProfilePatterns(p.DRAM, opts.DRAMSamples, device.HashString(p.Name))
+	table := device.Profile(p, opSamples)
+	patLat := dram.ProfilePatterns(p.DRAM, dramSamples, device.HashString(p.Name))
 	dsp.End()
 	out := make([]*Analysis, len(nds))
 	for i, nd := range nds {

@@ -8,8 +8,8 @@ import "fmt"
 // Kind identifies the lexical class of a token.
 type Kind int
 
-// The token kinds. Layout mirrors go/token: literals first, then operators,
-// then keywords, with marker constants bracketing each group.
+// The token kinds. Layout mirrors go/token: literals first, bracketed by
+// the marker constants IsLiteral reads, then operators, then keywords.
 const (
 	ILLEGAL Kind = iota
 	EOF
@@ -22,7 +22,6 @@ const (
 	STRINGLIT // "..."
 	literalEnd
 
-	operatorBeg
 	ADD    // +
 	SUB    // -
 	MUL    // *
@@ -72,9 +71,7 @@ const (
 	QUESTION // ?
 	DOT      // .
 	ARROW    // ->
-	operatorEnd
 
-	keywordBeg
 	KWKERNEL   // __kernel / kernel
 	KWGLOBAL   // __global / global
 	KWLOCAL    // __local / local
@@ -112,7 +109,6 @@ const (
 	KWDEFAULT  // default
 
 	KWATTRIBUTE // __attribute__
-	keywordEnd
 )
 
 var kindNames = map[Kind]string{
@@ -162,12 +158,6 @@ func (k Kind) String() string {
 // IsLiteral reports whether the kind is an identifier or a literal constant.
 func (k Kind) IsLiteral() bool { return literalBeg < k && k < literalEnd }
 
-// IsOperator reports whether the kind is an operator or punctuation.
-func (k Kind) IsOperator() bool { return operatorBeg < k && k < operatorEnd }
-
-// IsKeyword reports whether the kind is a reserved word.
-func (k Kind) IsKeyword() bool { return keywordBeg < k && k < keywordEnd }
-
 // IsAssign reports whether the kind is an assignment operator (including
 // compound assignments such as +=).
 func (k Kind) IsAssign() bool {
@@ -211,9 +201,6 @@ type Pos struct {
 	Line int
 	Col  int
 }
-
-// IsValid reports whether the position carries real location information.
-func (p Pos) IsValid() bool { return p.Line > 0 }
 
 func (p Pos) String() string {
 	if p.File == "" {

@@ -245,22 +245,3 @@ func (e *Error) Error() string { return e.Code + ": " + e.Message }
 func Errf(code string, status int, format string, args ...any) *Error {
 	return &Error{Code: code, Message: fmt.Sprintf(format, args...), Status: status}
 }
-
-// StatusOf maps an error code to its HTTP status (the inverse clients
-// use when only the body survived a proxy hop).
-func StatusOf(code string) int {
-	switch code {
-	case CodeBadRequest:
-		return 400
-	case CodeNotFound:
-		return 404
-	case CodeShed:
-		return 429
-	case CodeUnavailable:
-		return 503
-	case CodeDeadline:
-		return 504
-	default:
-		return 500
-	}
-}

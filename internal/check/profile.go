@@ -47,15 +47,24 @@ const profileGroups = 8
 // comparator stays pure and tests can feed fabricated mismatches.
 type profileAudit struct {
 	kernel     string
-	analyzable bool
+	analyzable bool   // at the smallest WG size
 	reason     string // decline reason when !analyzable
+	// static holds the static-vs-interpreter comparisons: the smallest
+	// and the largest WG size, each where the analyzer claims it.
+	static     []staticAudit
+	streamDiff string // model.Analyze's streamed analysis vs materialized traces
+	sweepDiff  string // model.AnalyzeSweep vs per-WG model.Analyze
+	shared     bool   // the sweep shared one profile over every WG size
+}
+
+// staticAudit compares the static executor with the interpreter at one
+// WG size.
+type staticAudit struct {
+	wg         int64
 	staticErr  string // error from the static executor ("" = none)
 	interpErr  string // error from the interpreter ("" = none)
 	prefixDiff string // static vs interp, prefix sampling
 	spreadDiff string // static vs interp, spread sampling
-	streamDiff string // model.Analyze's streamed analysis vs materialized traces
-	sweepDiff  string // model.AnalyzeSweep vs per-WG model.Analyze
-	shared     bool   // the sweep shared one profile over every WG size
 }
 
 // profileKernelFindings turns one kernel's audit into findings.
@@ -90,30 +99,28 @@ func profileKernelFindings(a profileAudit) (findings []Finding, checks int) {
 			"model.AnalyzeSweep equals model.Analyze at every WG size", a.sweepDiff)
 	}
 
-	if !a.analyzable {
-		return findings, checks
-	}
-
 	// Exactness: the static profile equals the interpreted one, or
 	// fails with the identical error, under both sampling modes.
-	checks++
-	if a.staticErr != a.interpErr {
-		fail("error-match",
-			fmt.Sprintf("static error %q == interp error %q", a.staticErr, a.interpErr),
-			"errors differ")
-	} else if a.staticErr == "" {
-		if a.prefixDiff != "" {
-			fail("static-equals-interp", "identical profiles (prefix sampling)", a.prefixDiff)
-		}
-		if a.spreadDiff != "" {
-			fail("static-equals-interp", "identical profiles (spread sampling)", a.spreadDiff)
+	for _, st := range a.static {
+		checks++
+		if st.staticErr != st.interpErr {
+			fail("error-match",
+				fmt.Sprintf("wg %d: static error %q == interp error %q", st.wg, st.staticErr, st.interpErr),
+				"errors differ")
+		} else if st.staticErr == "" {
+			if st.prefixDiff != "" {
+				fail("static-equals-interp", fmt.Sprintf("wg %d: identical profiles (prefix sampling)", st.wg), st.prefixDiff)
+			}
+			if st.spreadDiff != "" {
+				fail("static-equals-interp", fmt.Sprintf("wg %d: identical profiles (spread sampling)", st.wg), st.spreadDiff)
+			}
 		}
 	}
 	return findings, checks
 }
 
-// profileAuditKernel runs both profiler paths for one kernel and
-// records the comparisons.
+// profileAuditKernel runs both profiler paths for one kernel, at its
+// smallest and its largest WG size, and records the comparisons.
 func profileAuditKernel(ctx context.Context, k *bench.Kernel, p *device.Platform) (profileAudit, error) {
 	a := profileAudit{kernel: k.ID()}
 	f, err := k.Compile(k.MinWG)
@@ -121,35 +128,49 @@ func profileAuditKernel(ctx context.Context, k *bench.Kernel, p *device.Platform
 		return a, err
 	}
 	a.analyzable, a.reason = interp.StaticAnalyzable(f)
-
-	diff := func(spread bool) (string, string, string, error) {
-		sp, _, serr := interp.StaticProfile(f, k.Config(k.MinWG), profileGroups, spread)
-		ip, ierr := interp.InterpProfile(f, k.Config(k.MinWG), profileGroups, spread)
-		se, ie := "", ""
-		if serr != nil {
-			se = serr.Error()
-		}
-		if ierr != nil {
-			ie = ierr.Error()
-		}
-		if serr != nil || ierr != nil {
-			return "", se, ie, nil
-		}
-		return sp.Diff(ip), se, ie, nil
-	}
 	if a.analyzable {
-		var err error
-		if a.prefixDiff, a.staticErr, a.interpErr, err = diff(false); err != nil {
+		a.static = append(a.static, staticVsInterp(f, k, k.MinWG))
+	}
+	if wgs := k.WGSizes(); len(wgs) > 1 {
+		wg := wgs[len(wgs)-1]
+		fmax, err := k.Compile(wg)
+		if err != nil {
 			return a, err
 		}
-		if a.spreadDiff, _, _, err = diff(true); err != nil {
-			return a, err
+		if ok, _ := interp.StaticAnalyzable(fmax); ok {
+			a.static = append(a.static, staticVsInterp(fmax, k, wg))
 		}
 	}
-
 	a.streamDiff = streamVsMaterialized(ctx, f, k, p)
 	a.shared, a.sweepDiff = sweepVsPerWG(ctx, k, p)
 	return a, nil
+}
+
+// staticVsInterp profiles f, k compiled at wg, with the static executor
+// and the interpreter, under prefix then spread sampling. A fault ends
+// the comparison: both paths must fail alike.
+func staticVsInterp(f *ir.Func, k *bench.Kernel, wg int64) staticAudit {
+	st := staticAudit{wg: wg}
+	for _, spread := range []bool{false, true} {
+		// Fresh Config per run: the interpreter mutates buffers.
+		sp, _, serr := interp.StaticProfile(f, k.Config(wg), profileGroups, spread)
+		ip, ierr := interp.InterpProfile(f, k.Config(wg), profileGroups, spread)
+		if serr != nil {
+			st.staticErr = serr.Error()
+		}
+		if ierr != nil {
+			st.interpErr = ierr.Error()
+		}
+		if serr != nil || ierr != nil {
+			break
+		}
+		if spread {
+			st.spreadDiff = sp.Diff(ip)
+		} else {
+			st.prefixDiff = sp.Diff(ip)
+		}
+	}
+	return st
 }
 
 // sweepWorkers splits the shared run of sweepVsPerWG, so the check also

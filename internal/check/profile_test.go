@@ -10,7 +10,7 @@ import (
 
 func TestProfileComparatorCleanOnConsistentAudit(t *testing.T) {
 	fs, checks := profileKernelFindings(profileAudit{
-		kernel: "gen/vecadd", analyzable: true,
+		kernel: "gen/vecadd", analyzable: true, static: []staticAudit{{wg: 16}, {wg: 256}},
 	})
 	if len(fs) != 0 {
 		t.Fatalf("clean audit produced findings: %v", fs)
@@ -35,17 +35,22 @@ func TestProfileComparatorCatchesMismatches(t *testing.T) {
 	}{
 		{
 			"prefix-diff",
-			profileAudit{kernel: "k", analyzable: true, prefixDiff: "BlockCounts[b2]: 3 != 4"},
+			profileAudit{kernel: "k", analyzable: true, static: []staticAudit{{wg: 16, prefixDiff: "BlockCounts[b2]: 3 != 4"}}},
 			"static-equals-interp",
 		},
 		{
 			"spread-diff",
-			profileAudit{kernel: "k", analyzable: true, spreadDiff: "WorkItems: 64 != 32"},
+			profileAudit{kernel: "k", analyzable: true, static: []staticAudit{{wg: 16, spreadDiff: "WorkItems: 64 != 32"}}},
+			"static-equals-interp",
+		},
+		{
+			"largest-size-diff",
+			profileAudit{kernel: "k", analyzable: true, static: []staticAudit{{wg: 16}, {wg: 256, spreadDiff: "Barriers 1 vs 2"}}},
 			"static-equals-interp",
 		},
 		{
 			"error-mismatch",
-			profileAudit{kernel: "k", analyzable: true, staticErr: "interp: load out of bounds", interpErr: ""},
+			profileAudit{kernel: "k", analyzable: true, static: []staticAudit{{wg: 16, staticErr: "interp: load out of bounds"}}},
 			"error-match",
 		},
 		{

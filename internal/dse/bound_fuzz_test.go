@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"context"
 	"math"
 	"sync"
 	"testing"
@@ -43,17 +42,17 @@ func fuzzAnalysis(t testing.TB, k *bench.Kernel, ku bool, wg int64) (*model.Anal
 		cache = NewPrepCache()
 		fuzzPrep.caches[ku] = cache
 	}
-	e := cache.get(context.Background(), k, p, wg)
-	if e.err != nil {
-		t.Fatalf("%s wg=%d: %v", k.ID(), wg, e.err)
+	an, err := cache.Analysis(k, p, wg)
+	if err != nil {
+		t.Fatalf("%s wg=%d: %v", k.ID(), wg, err)
 	}
 	key := fuzzBoundsKey{id: k.ID(), wg: wg, ku: ku}
 	b, ok := fuzzPrep.bounds[key]
 	if !ok {
-		b = e.an.DesignBounds(model.PEValues(p.MaxPE), model.CUValues(p.MaxCU))
+		b = an.DesignBounds(model.PEValues(p.MaxPE), model.CUValues(p.MaxCU))
 		fuzzPrep.bounds[key] = b
 	}
-	return e.an, b
+	return an, b
 }
 
 // FuzzLowerBound is the property test behind the guided search's

@@ -458,32 +458,17 @@ func (c *PrepCache) linkCompleted(key prepKey) {
 // is on disk.
 func (c *PrepCache) Flush() { c.persist.Wait() }
 
-// get returns the prepared entry for one WG size, computing it if this
-// is the first request and blocking (without a deadline) while another
-// goroutine computes it. It is the synchronous single-size path behind
-// Analysis; sweeps over every WG size use prepare, and services with
-// request deadlines use AnalysisContext.
-func (c *PrepCache) get(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) *prepEntry {
-	key, e, created, _ := c.entry(k, p, wg)
-	if created {
-		// WithoutCancel: keep the caller's trace attached to the fill's
-		// spans but never let its cancellation poison the shared entry.
-		c.fill(context.WithoutCancel(ctx), k, p, []*fillJob{{key: key, e: e, wg: wg}}, 1)
-		return e
-	}
-	<-e.done
-	return e
-}
-
-// prepare is phase 1 of every sweep (Explore, Search and Analyses): it
-// returns the prepared entry of each WG size in wgs, and own[i] reports
-// whether this call filled entries[i]. The entries this call creates
-// are filled together, largest WG size first (fill), so a kernel whose
-// sizes compile to the same code is profiled once. Entries other
-// callers are filling are waited for. The fills run under
-// a detached context, like get's, and always complete, so no coalesced
-// waiter is left behind. err is ctx's error when ctx is done before the
-// sweep starts, else the first failed entry's error in wgs order.
+// prepare is phase 1 of every sweep (Explore, Search and Analyses) and
+// the whole of a single-size lookup (Analysis): it returns the prepared
+// entry of each WG size in wgs, and own[i] reports whether this call
+// filled entries[i]. The entries this call creates are filled together,
+// largest WG size first (fill), so a kernel whose sizes compile to the
+// same code is profiled once. Entries other callers are filling are
+// waited for, without a deadline. The fills run under a detached
+// context (WithoutCancel keeps the caller's trace on the fill's spans)
+// and always complete, so no coalesced waiter is left behind. err is
+// ctx's error when ctx is done before the sweep starts, else the first
+// failed entry's error in wgs order.
 func (c *PrepCache) prepare(ctx context.Context, k *bench.Kernel, p *device.Platform, wgs []int64, workers int) (entries []*prepEntry, own []bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -564,11 +549,11 @@ func (c *PrepCache) Analyses(k *bench.Kernel, p *device.Platform) (map[int64]*mo
 // caching it on first use. Explore and HeuristicSearch share the same
 // entries; deadline-carrying callers should prefer AnalysisContext.
 func (c *PrepCache) Analysis(k *bench.Kernel, p *device.Platform, wg int64) (*model.Analysis, error) {
-	e := c.get(context.Background(), k, p, wg)
-	if e.err != nil {
-		return nil, e.err
+	entries, _, err := c.prepare(context.Background(), k, p, []int64{wg}, 1)
+	if err != nil {
+		return nil, err
 	}
-	return e.an, nil
+	return entries[0].an, nil
 }
 
 // Len returns the number of resident entries (completed + in flight).

@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -76,9 +75,9 @@ func TestPrepareHookFailsOneSize(t *testing.T) {
 		if wg == bad {
 			continue
 		}
-		e := c.get(context.Background(), k, p, wg)
-		if e.err != nil || e.an == nil {
-			t.Errorf("wg %d: %v", wg, e.err)
+		an, err := c.Analysis(k, p, wg)
+		if err != nil || an == nil {
+			t.Errorf("wg %d: %v", wg, err)
 		}
 	}
 	if st := c.Stats(); st.Computes != uint64(len(wgs)) {

@@ -96,7 +96,9 @@ func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profil
 
 // StaticProfile profiles f using only the static slice executor. ok
 // reports whether the kernel is statically analyzable; when false the
-// profile and error are nil and the caller must interpret instead.
+// profile and error are nil and the caller must interpret instead. A
+// launch that faults returns the first faulting work-item's error and
+// no profile.
 func StaticProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, bool, error) {
 	if maxGroups <= 0 {
 		maxGroups = 2
@@ -258,8 +260,8 @@ type blockPlan struct {
 	cond    opSrc
 }
 
-// planExec executes the profile slice of one plan. One instance serves
-// a whole profiling run; all mutable state is reset per work-item.
+// planExec executes the profile slice of one plan for one worker of a
+// sweep (see sweep.go); all mutable state is reset per work-item.
 type planExec struct {
 	plan  *static.Plan
 	cfg   *Config
@@ -271,15 +273,10 @@ type planExec struct {
 	regs    []Val
 	tracked [][]Val // cell slices, for the per-work-item reset
 	counts  []int64 // per-block visit counts of the current work-item
-	gCounts []float64
 
-	// The current group's global accesses, all work-items back to back in
-	// one buffer reused by every group; ends[i] is where work-item i's
-	// trace ends and wis views each trace for the sink. runPlan sizes
-	// gCounts, ends and wis; a sweep keeps its own (see sweep.go).
+	// accesses collects the global accesses of the chunk being executed,
+	// its work-items back to back; the sweep owns the buffer.
 	accesses []Access
-	ends     []int
-	wis      [][]Access
 
 	barriers int
 	steps    int64
@@ -430,101 +427,14 @@ func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planSte
 	return st
 }
 
-// runPlan profiles the sampled work-groups of a launch by executing
-// only the plan's slice, reproducing the interpreter's group and
-// work-item iteration order, trace emission, bounds checks and profile
-// accumulation exactly, and hands each completed group's traces to sink
-// (when non-nil). Buffers are never mutated.
+// runPlan profiles one launch with the static slice executor: a sweep
+// of that launch alone, on one worker, under sample (see runSweep).
 func runPlan(p *static.Plan, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
-	nd := cfg.Range.Normalize()
-	if nd.WorkGroupSize() <= 0 {
-		return nil, fmt.Errorf("interp: empty work-group")
-	}
-	if err := validateArgs(p.Fn, cfg); err != nil {
+	profs, err := runSweep(p, cfg, [][3]int64{cfg.Range.Local}, sample, 1, []GroupSink{sink})
+	if err != nil {
 		return nil, err
 	}
-
-	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Source: SourceStatic}
-	x := newPlanExec(p, cfg, nd)
-	wgSize := nd.WorkGroupSize()
-	x.gCounts = make([]float64, len(p.Fn.Blocks))
-	x.ends, x.wis = make([]int, wgSize), make([][]Access, wgSize)
-	err := sample.each(nd, func(ord int, group [3]int64) error {
-		if err := x.runGroup(group, prof); err != nil {
-			return err
-		}
-		if sink != nil {
-			lo := 0
-			for i, hi := range x.ends {
-				x.wis[i] = x.accesses[lo:hi:hi]
-				lo = hi
-			}
-			sink(ord, x.wis)
-		}
-		return nil
-	})
-	if err != nil {
-		return prof, err
-	}
-	finalizeProfile(prof)
-	return prof, nil
-}
-
-// runGroup executes every work-item of one group, leaving their traces
-// in x.accesses. Like the interpreter, a group contributes to the
-// profile only when every one of its work-items completes.
-func (x *planExec) runGroup(group [3]int64, prof *Profile) error {
-	x.group = group
-	nd := x.nd
-	blocks := x.plan.Fn.Blocks
-
-	gWIs := 0
-	gBarriers := 0.0
-	for i := range x.gCounts {
-		x.gCounts[i] = 0
-	}
-	x.accesses = x.accesses[:0]
-
-	for lz := int64(0); lz < nd.Local[2]; lz++ {
-		for ly := int64(0); ly < nd.Local[1]; ly++ {
-			for lx := int64(0); lx < nd.Local[0]; lx++ {
-				x.local = [3]int64{lx, ly, lz}
-				x.global = [3]int64{
-					group[0]*nd.Local[0] + lx,
-					group[1]*nd.Local[1] + ly,
-					group[2]*nd.Local[2] + lz,
-				}
-				if err := x.runWI(); err != nil {
-					return err
-				}
-				if gWIs == 0 {
-					// The work-items of one kernel trace near-identical
-					// access counts: size the buffer for the whole group
-					// from the first, instead of growing it by appends.
-					if want := len(x.accesses) * len(x.ends); cap(x.accesses) < want {
-						x.accesses = append(make([]Access, 0, want), x.accesses...)
-					}
-				}
-				x.ends[gWIs] = len(x.accesses)
-				gWIs++
-				for bi, c := range x.counts {
-					if c != 0 {
-						x.gCounts[bi] += float64(c)
-					}
-				}
-				gBarriers += float64(x.barriers)
-			}
-		}
-	}
-
-	prof.WorkItems += gWIs
-	for bi, c := range x.gCounts {
-		if c != 0 {
-			prof.BlockCounts[blocks[bi]] += c
-		}
-	}
-	prof.Barriers += gBarriers
-	return nil
+	return profs[0], nil
 }
 
 // runWI executes the slice for one work-item, appending its global

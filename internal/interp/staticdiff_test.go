@@ -16,36 +16,48 @@ func corpus() []*bench.Kernel {
 	return append(bench.All(), bench.GeneratedCorpus()...)
 }
 
+// TestStaticVsInterpCorpus runs each kernel at its smallest and its
+// largest WG size. The largest is the size a shared sweep executes, so
+// the interpreter stays the independent reference for the profiles
+// every WG size of a sweep takes from that run, and for rtlsim's spread
+// samples above the smallest size. Under the race detector the largest
+// size runs on every sixth kernel: on all of them it adds about a
+// minute.
 func TestStaticVsInterpCorpus(t *testing.T) {
 	const groups = 8
-	kernels := corpus()
-	for _, k := range kernels {
+	for i, k := range corpus() {
 		k := k
+		wgs := k.WGSizes()
+		sizes := wgs[:1]
+		if len(wgs) > 1 && (!raceEnabled || i%6 == 0) {
+			sizes = []int64{wgs[0], wgs[len(wgs)-1]}
+		}
 		t.Run(k.Bench+"_"+k.Name, func(t *testing.T) {
 			t.Parallel()
-			wg := k.MinWG
-			f, err := k.Compile(wg)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if ok, _ := interp.StaticAnalyzable(f); !ok {
-				return // fallback kernels are covered by the interp tests
-			}
-			for _, spread := range []bool{false, true} {
-				sp, sok, err := interp.StaticProfile(f, k.Config(wg), groups, spread)
-				if !sok {
-					t.Fatal("StaticAnalyzable true but StaticProfile declined")
-				}
+			for _, wg := range sizes {
+				f, err := k.Compile(wg)
 				if err != nil {
-					t.Fatalf("static profile (spread=%v): %v", spread, err)
+					t.Fatalf("wg %d: compile: %v", wg, err)
 				}
-				// Fresh Config per run: the interpreter mutates buffers.
-				ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread)
-				if err != nil {
-					t.Fatalf("interp profile (spread=%v): %v", spread, err)
+				if ok, _ := interp.StaticAnalyzable(f); !ok {
+					continue // fallback kernels are covered by the interp tests
 				}
-				if d := sp.Diff(ip); d != "" {
-					t.Fatalf("static != interp (spread=%v): %s", spread, d)
+				for _, spread := range []bool{false, true} {
+					sp, sok, err := interp.StaticProfile(f, k.Config(wg), groups, spread)
+					if !sok {
+						t.Fatalf("wg %d: StaticAnalyzable true but StaticProfile declined", wg)
+					}
+					if err != nil {
+						t.Fatalf("wg %d: static profile (spread=%v): %v", wg, spread, err)
+					}
+					// Fresh Config per run: the interpreter mutates buffers.
+					ip, err := interp.InterpProfile(f, k.Config(wg), groups, spread)
+					if err != nil {
+						t.Fatalf("wg %d: interp profile (spread=%v): %v", wg, spread, err)
+					}
+					if d := sp.Diff(ip); d != "" {
+						t.Fatalf("wg %d: static != interp (spread=%v): %s", wg, spread, d)
+					}
 				}
 			}
 		})

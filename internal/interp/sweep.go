@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/interp/static"
 	"repro/internal/ir"
 	"repro/internal/obs"
 )
@@ -30,14 +31,10 @@ var ErrNotShareable = errors.New("interp: launches cannot share one profile")
 // work-items' results from that run. Otherwise ProfileSweep returns an
 // error wrapping ErrNotShareable before executing anything.
 //
-// Each group's work-items are split over workers goroutines. As each
-// group of the largest launch completes, every launch is handed the
-// groups of its own prefix that are now complete, in its own dispatch
-// order, as per-work-item views into the shared trace buffers; a group's
-// buffers are kept only while some launch still needs a group inside
-// them, then recycled. Block counts, barriers and work-items are summed
-// as integers per launch, so the profiles are bitwise the per-launch
-// ones at any worker count. On an execution fault the sinks have seen a
+// Each group's work-items are split over workers goroutines (see
+// runSweep). Block counts, barriers and work-items are summed as
+// integers per launch, so the profiles are bitwise the per-launch ones
+// at any worker count. On an execution fault the sinks have seen a
 // partial sweep and the error is returned; the caller must profile each
 // launch on its own to get the reference error and partial profile.
 func ProfileSweep(f *ir.Func, cfg *Config, locals [][3]int64, maxGroups, workers int, sinks []GroupSink) ([]*Profile, error) {
@@ -54,18 +51,38 @@ func ProfileSweep(f *ir.Func, cfg *Config, locals [][3]int64, maxGroups, workers
 	if !e.plan.GlobalOnly {
 		return nil, fmt.Errorf("%w: the profile slice reads the work-group geometry", ErrNotShareable)
 	}
-	if err := validateArgs(f, cfg); err != nil {
-		return nil, err
-	}
-	s, err := newSweep(cfg, locals, maxGroups, sinks)
+	profs, err := runSweep(e.plan, cfg, locals, prefixSample(maxGroups), workers, sinks)
 	if err != nil {
 		return nil, err
 	}
-	s.start(e, cfg, max(workers, 1))
+	obs.Global().Counter("profile_static_total", "").Add(uint64(len(locals)))
+	return profs, nil
+}
+
+// runSweep is the static slice executor's one driver: every static
+// profile, of one launch or of a shared sweep, runs through it. It
+// executes the sampled groups of the launch with the largest work-group
+// among locals one at a time, each split over workers goroutines, and
+// after each group hands every launch the groups of its own sample that
+// are now complete, in its own dispatch order (nil sinks are skipped).
+// The executed launch is handed its groups by ordinal, so sample may be
+// any group sample when locals holds one launch; with several it must
+// be a prefix, and every other launch's profiled groups must lie inside
+// the executed ones (else an error wrapping ErrNotShareable). Buffers
+// are never mutated. On a fault it returns no profiles and the error of
+// a faulting work-item, the first in dispatch order on one worker.
+func runSweep(p *static.Plan, cfg *Config, locals [][3]int64, sample groupSample, workers int, sinks []GroupSink) ([]*Profile, error) {
+	if err := validateArgs(p.Fn, cfg); err != nil {
+		return nil, err
+	}
+	s, err := newSweep(cfg, locals, sample, sinks)
+	if err != nil {
+		return nil, err
+	}
+	s.start(p, cfg, max(workers, 1))
 	if err := s.run(); err != nil {
 		return nil, err
 	}
-	obs.Global().Counter("profile_static_total", "").Add(uint64(len(locals)))
 	return s.profiles(), nil
 }
 
@@ -74,7 +91,7 @@ type sweepLaunch struct {
 	nd     NDRange
 	ng     [3]int64   // groups per dimension
 	groups [][3]int64 // profiled group coordinates, in dispatch order
-	// handAt[j] is the ordinal of the largest launch's group after whose
+	// handAt[j] is the ordinal of the executed group after whose
 	// completion group j, and every group before it, is complete.
 	handAt []int
 	next   int // next group to hand over
@@ -83,7 +100,7 @@ type sweepLaunch struct {
 }
 
 // member reports whether the work-item at global ID gid lies in one of
-// l's profiled groups.
+// l's profiled groups, which form a prefix of l's launch.
 func (l *sweepLaunch) member(gid [3]int64) bool {
 	var lin, stride int64 = 0, 1
 	for d := 0; d < 3; d++ {
@@ -97,9 +114,9 @@ func (l *sweepLaunch) member(gid [3]int64) bool {
 	return lin < int64(len(l.groups))
 }
 
-// sweepChunk is one execution task's share of a group of the largest
-// launch: work-items [lo, hi) in local order, their traces back to back
-// in acc, ends[i] the end of work-item lo+i's trace.
+// sweepChunk is one execution task's share of an executed group:
+// work-items [lo, hi) in local order, their traces back to back in acc,
+// ends[i] the end of work-item lo+i's trace.
 type sweepChunk struct {
 	lo, hi int
 	acc    []Access
@@ -118,37 +135,39 @@ type sweepWorker struct {
 	err      error
 }
 
-// sweepTask is one unit of a step: hand a launch its ready groups, or
-// execute one chunk of the current group.
+// sweepTask is one unit of a step: execute one chunk of the current
+// group, or hand a launch its complete groups.
 type sweepTask struct {
 	launch *sweepLaunch
 	chunk  *sweepChunk
 }
 
-// sweep is the state of one ProfileSweep.
+// sweep is the state of one runSweep.
 type sweep struct {
 	launches []*sweepLaunch
 	big      *sweepLaunch // the launch whose profiled groups are executed
-	// releaseAt[b] is the step whose hand-off is the last to read group
-	// b of the largest launch; kept[b] holds its traces until then.
+	// releaseAt[b] is the last executed group after which group b is
+	// handed to a launch; kept[b] holds its traces until then.
 	releaseAt []int
 	kept      []*sweepGroup
 	free      []*sweepGroup
 	chunkLen  int
 	workers   []*sweepWorker
 
-	cur   int // the group the current step executes
-	ready int // the last group complete before the current step
+	cur int // the executed group of the current step
 }
 
-// newSweep lays the launches out and checks that every launch's
-// profiled groups lie inside the largest launch's.
-func newSweep(cfg *Config, locals [][3]int64, maxGroups int, sinks []GroupSink) (*sweep, error) {
+// newSweep lays the launches out under sample and checks that every
+// other launch's profiled groups lie inside the executed launch's.
+func newSweep(cfg *Config, locals [][3]int64, sample groupSample, sinks []GroupSink) (*sweep, error) {
 	s := &sweep{}
 	for i, local := range locals {
 		nd := NDRange{Global: cfg.Range.Global, Local: local}.Normalize()
+		if nd.WorkGroupSize() <= 0 {
+			return nil, fmt.Errorf("interp: empty work-group")
+		}
 		l := &sweepLaunch{nd: nd, ng: nd.NumGroups(), sink: sinks[i], wis: make([][]Access, nd.WorkGroupSize())}
-		prefixSample(maxGroups).each(nd, func(_ int, g [3]int64) error {
+		sample.each(nd, func(_ int, g [3]int64) error {
 			l.groups = append(l.groups, g)
 			return nil
 		})
@@ -160,11 +179,18 @@ func newSweep(cfg *Config, locals [][3]int64, maxGroups int, sinks []GroupSink) 
 	big := s.big
 	s.releaseAt = make([]int, len(big.groups))
 	s.kept = make([]*sweepGroup, len(big.groups))
+	big.handAt = make([]int, len(big.groups))
+	for b := range big.groups {
+		big.handAt[b], s.releaseAt[b] = b, b
+	}
 	for _, l := range s.launches {
+		if l == big {
+			continue
+		}
 		l.handAt = make([]int, len(l.groups))
 		hand := 0
 		for j, g := range l.groups {
-			// The largest launch's groups overlapping this one, per dimension.
+			// The executed groups overlapping this one, per dimension.
 			var lo, hi [3]int64
 			for d := 0; d < 3; d++ {
 				lo[d] = g[d] * l.nd.Local[d] / big.nd.Local[d]
@@ -192,57 +218,57 @@ func newSweep(cfg *Config, locals [][3]int64, maxGroups int, sinks []GroupSink) 
 	return s, nil
 }
 
-// start builds one executor per worker. A group's work-items are split
-// into up to four chunks per worker, so hand-off tasks and uneven
-// work-items still balance across the workers.
-func (s *sweep) start(e *planEntry, cfg *Config, workers int) {
+// start builds one executor per worker. One worker executes each group
+// as one chunk; more split its work-items into up to four chunks per
+// worker, so uneven work-items still balance across them.
+func (s *sweep) start(p *static.Plan, cfg *Config, workers int) {
 	wgSize := int(s.big.nd.WorkGroupSize())
 	workers = min(workers, wgSize)
-	chunks := min(wgSize, 4*workers)
+	chunks := 1
+	if workers > 1 {
+		chunks = min(wgSize, 4*workers)
+	}
 	s.chunkLen = (wgSize + chunks - 1) / chunks
-	nblocks := len(e.plan.Fn.Blocks)
 	for w := 0; w < workers; w++ {
 		sw := &sweepWorker{
-			x:        newPlanExec(e.plan, cfg, s.big.nd),
+			x:        newPlanExec(p, cfg, s.big.nd),
 			counts:   make([][]int64, len(s.launches)),
 			barriers: make([]int64, len(s.launches)),
 			wis:      make([]int, len(s.launches)),
 		}
 		for i := range sw.counts {
-			sw.counts[i] = make([]int64, nblocks)
+			sw.counts[i] = make([]int64, len(p.Fn.Blocks))
 		}
 		s.workers = append(s.workers, sw)
 	}
 }
 
 // run executes the largest launch's profiled groups one step at a time.
-// Step b executes group b while the launches are handed what group b-1
-// completed, as one pool of tasks over the workers.
+// Step b executes group b over the workers, then hands every launch
+// what group b completed, then recycles the groups no later hand-off
+// reads.
 func (s *sweep) run() error {
-	n := len(s.big.groups)
 	var tasks []sweepTask
-	for b := 0; b <= n; b++ {
+	for b := range s.big.groups {
+		s.cur = b
+		g := s.take()
+		s.kept[b] = g
 		tasks = tasks[:0]
-		s.cur, s.ready = b, b-1
-		if b > 0 {
-			for _, l := range s.launches {
-				if l.next < len(l.groups) && l.handAt[l.next] <= s.ready {
-					tasks = append(tasks, sweepTask{launch: l})
-				}
-			}
-		}
-		if b < n {
-			g := s.take()
-			s.kept[b] = g
-			for i := range g.chunks {
-				tasks = append(tasks, sweepTask{chunk: &g.chunks[i]})
-			}
+		for i := range g.chunks {
+			tasks = append(tasks, sweepTask{chunk: &g.chunks[i]})
 		}
 		if err := s.step(tasks); err != nil {
 			return err
 		}
+		tasks = tasks[:0]
+		for _, l := range s.launches {
+			if l.sink != nil && l.next < len(l.groups) && l.handAt[l.next] <= b {
+				tasks = append(tasks, sweepTask{launch: l})
+			}
+		}
+		s.step(tasks) // a hand-off cannot fail
 		for i, r := range s.releaseAt {
-			if r == s.ready && s.kept[i] != nil {
+			if r == b {
 				s.free = append(s.free, s.kept[i])
 				s.kept[i] = nil
 			}
@@ -269,7 +295,8 @@ func (s *sweep) take() *sweepGroup {
 }
 
 // step runs one step's tasks over the workers, which pull them in order
-// until none is left or one fails.
+// until none is left or one fails. The first worker runs on the calling
+// goroutine, so a one-worker sweep starts none.
 func (s *sweep) step(tasks []sweepTask) error {
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -314,7 +341,8 @@ func (s *sweep) step(tasks []sweepTask) error {
 
 // execute runs one chunk of the current group on w's executor, sizing
 // the chunk's trace buffer from its first work-item's trace, and adds
-// every work-item's counts to each launch that profiles it.
+// every work-item's counts to the executed launch and to each other
+// launch that profiles it.
 func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
 	x := w.x
 	local := s.big.nd.Local
@@ -337,7 +365,7 @@ func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
 		}
 		c.ends[li-c.lo] = len(x.accesses)
 		for k, l := range s.launches {
-			if !l.member(x.global) {
+			if l != s.big && !l.member(x.global) {
 				continue
 			}
 			w.wis[k]++
@@ -354,18 +382,26 @@ func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
 	return nil
 }
 
-// handOff hands l every group of its prefix that the completed groups
-// of the largest launch now cover, in l's dispatch order.
+// handOff hands l every group of its sample that the executed groups
+// now cover, in l's dispatch order: the executed launch its current
+// group by ordinal, any other launch the groups of its prefix by the
+// global IDs of their work-items.
 func (s *sweep) handOff(l *sweepLaunch) {
 	local := l.nd.Local
-	for l.next < len(l.groups) && l.handAt[l.next] <= s.ready {
-		g := l.groups[l.next]
-		i := 0
-		for lz := int64(0); lz < local[2]; lz++ {
-			for ly := int64(0); ly < local[1]; ly++ {
-				for lx := int64(0); lx < local[0]; lx++ {
-					l.wis[i] = s.view([3]int64{g[0]*local[0] + lx, g[1]*local[1] + ly, g[2]*local[2] + lz})
-					i++
+	for l.next < len(l.groups) && l.handAt[l.next] <= s.cur {
+		if l == s.big {
+			for li := range l.wis {
+				l.wis[li] = s.trace(s.kept[l.next], li)
+			}
+		} else {
+			g := l.groups[l.next]
+			i := 0
+			for lz := int64(0); lz < local[2]; lz++ {
+				for ly := int64(0); ly < local[1]; ly++ {
+					for lx := int64(0); lx < local[0]; lx++ {
+						l.wis[i] = s.view([3]int64{g[0]*local[0] + lx, g[1]*local[1] + ly, g[2]*local[2] + lz})
+						i++
+					}
 				}
 			}
 		}
@@ -375,15 +411,20 @@ func (s *sweep) handOff(l *sweepLaunch) {
 }
 
 // view returns the trace of the work-item at global ID gid, from the
-// kept group of the largest launch that executed it.
+// kept executed group that ran it. The executed groups are a prefix, so
+// a group's ordinal is its linear group ID.
 func (s *sweep) view(gid [3]int64) []Access {
 	local, ng := s.big.nd.Local, s.big.ng
 	var q, r [3]int64
 	for d := 0; d < 3; d++ {
 		q[d], r[d] = gid[d]/local[d], gid[d]%local[d]
 	}
-	g := s.kept[q[0]+q[1]*ng[0]+q[2]*ng[0]*ng[1]]
-	li := int(r[0] + r[1]*local[0] + r[2]*local[0]*local[1])
+	return s.trace(s.kept[q[0]+q[1]*ng[0]+q[2]*ng[0]*ng[1]], int(r[0]+r[1]*local[0]+r[2]*local[0]*local[1]))
+}
+
+// trace returns the trace of the work-item at local index li of the
+// executed group g.
+func (s *sweep) trace(g *sweepGroup, li int) []Access {
 	c := &g.chunks[li/s.chunkLen]
 	k := li - c.lo
 	lo := 0
@@ -396,7 +437,7 @@ func (s *sweep) view(gid [3]int64) []Access {
 
 // profiles sums the workers' counts into one finalized profile per
 // launch. Every sum is an integer below 2^53, so each is bitwise the
-// float accumulation the per-launch executor performs.
+// float accumulation the interpreter performs.
 func (s *sweep) profiles() []*Profile {
 	blocks := s.workers[0].x.plan.Fn.Blocks
 	out := make([]*Profile, len(s.launches))

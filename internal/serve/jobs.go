@@ -41,9 +41,7 @@ type Job struct {
 // exploreRequest is the v1 wire shape of an exploration submission plus
 // the resolved targets the worker runs against. v2 submissions resolve
 // through the api envelope first (which also admits inline kernels) and
-// fill k/p directly; v1 fills them through the same resolution, and the
-// worker falls back to a corpus lookup when only wire fields are set
-// (tests submit bare wire structs).
+// fill k/p directly; v1 fills them through the same resolution.
 type exploreRequest struct {
 	Bench        string `json:"bench"`
 	Kernel       string `json:"kernel"`
@@ -120,15 +118,17 @@ type jobPool struct {
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
 
-	mu       sync.Mutex
-	seq      uint64
-	jobs     map[string]*Job
-	order    []string // insertion order, for history trimming
-	retained int
-	closed   bool
+	mu     sync.Mutex
+	seq    uint64
+	jobs   map[string]*Job
+	order  []string // insertion order, for history trimming
+	closed bool
 }
 
-func newJobPool(srv *Server, workers, depth, retained int) *jobPool {
+// maxRetainedJobs bounds the finished-job history.
+const maxRetainedJobs = 1024
+
+func newJobPool(srv *Server, workers, depth int) *jobPool {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &jobPool{
 		srv:        srv,
@@ -137,7 +137,6 @@ func newJobPool(srv *Server, workers, depth, retained int) *jobPool {
 		hardCtx:    ctx,
 		hardCancel: cancel,
 		jobs:       make(map[string]*Job),
-		retained:   retained,
 	}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
@@ -185,7 +184,7 @@ func (p *jobPool) submit(req exploreRequest) (*Job, error) {
 
 // trimLocked drops the oldest finished jobs beyond the retention bound.
 func (p *jobPool) trimLocked() {
-	for len(p.order) > p.retained {
+	for len(p.order) > maxRetainedJobs {
 		dropped := false
 		for i, id := range p.order {
 			j := p.jobs[id]
@@ -258,23 +257,11 @@ func (p *jobPool) stop(ctx context.Context) error {
 	}
 }
 
-// runExplore executes one job through the shared prep cache.
+// runExplore executes one job through the shared prep cache: an
+// exhaustive dse.Explore, or dse.Search for guided and pareto jobs. Both
+// handlers resolve the kernel and platform before submitting.
 func (s *Server) runExplore(ctx context.Context, j *Job) {
-	req := j.req
-	k, p := req.k, req.p
-	if k == nil {
-		k = bench.FindID(req.Bench + "/" + req.Kernel)
-	}
-	if p == nil {
-		p = device.Platforms()[req.Platform]
-	}
-	if k == nil || p == nil { // validated at submit; belt and braces
-		j.mu.Lock()
-		j.err = "kernel or platform vanished"
-		j.mu.Unlock()
-		j.setState(JobFailed)
-		return
-	}
+	req, k := j.req, j.req.k
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.ExploreTimeout)
 	defer cancel()
 	t0 := time.Now()
@@ -284,20 +271,69 @@ func (s *Server) runExplore(ctx context.Context, j *Job) {
 	root.Annotate("job", j.ID)
 	root.Annotate("kernel", k.ID())
 	defer root.End()
-	if req.Search == api.SearchGuided || req.Search == api.SearchPareto {
-		s.runGuidedExplore(ctx, j, k, p, req, t0)
-		return
+
+	var (
+		sum    exploreSummary
+		points []dse.Point
+		attrs  = []any{"id", j.ID, "kernel", k.ID()} // of the done log line
+		err    error
+	)
+	if req.Search == "" {
+		s.reg.Counter("explore_search_total", `search="exhaustive"`).Inc()
+		var r *dse.Result
+		r, err = dse.Explore(ctx, k, dse.Options{
+			Platform:        req.p,
+			SkipActual:      !req.Sim,
+			SkipBaseline:    true,
+			SimMaxGroups:    req.SimMaxGroups,
+			PruneInfeasible: req.Prune,
+			Workers:         req.Workers,
+			Cache:           s.prep,
+		})
+		if err == nil {
+			points = r.Points
+			sum = exploreSummary{
+				BaselineFailures: r.BaselineFailures,
+				WallMS:           float64(r.WallTime.Microseconds()) / 1000,
+				ModelMS:          float64(r.ModelTime.Microseconds()) / 1000,
+				SimMS:            float64(r.SimTime.Microseconds()) / 1000,
+			}
+			if best, ok := r.BestByModel(); ok {
+				sum.Best = pointOf(best)
+			}
+			s.reg.Counter("dse_points_total", `outcome="evaluated"`).Add(uint64(len(r.Points)))
+			attrs = append(attrs, "points", len(r.Points))
+		}
+	} else {
+		s.reg.Counter("explore_search_total", fmt.Sprintf(`search="%s"`, req.Search)).Inc()
+		var r *dse.SearchResult
+		r, err = dse.Search(ctx, k, dse.SearchOptions{
+			Platform: req.p,
+			Workers:  req.Workers,
+			Cache:    s.prep,
+			Pareto:   req.Search == api.SearchPareto,
+		})
+		if err == nil {
+			points = r.Points
+			sum = exploreSummary{
+				WallMS:      float64(r.WallTime.Microseconds()) / 1000,
+				ModelMS:     float64(r.ModelTime.Microseconds()) / 1000,
+				Search:      req.Search,
+				SpacePoints: r.Space,
+				Evaluated:   r.Evaluated,
+				Pruned:      r.Pruned,
+			}
+			if r.BestOK {
+				sum.Best = pointOf(r.Best)
+			}
+			for _, pt := range r.Frontier {
+				sum.Frontier = append(sum.Frontier, *pointOf(pt))
+			}
+			s.reg.Counter("dse_points_total", `outcome="evaluated"`).Add(uint64(r.Evaluated))
+			s.reg.Counter("dse_points_total", `outcome="pruned"`).Add(uint64(r.Pruned))
+			attrs = append(attrs, "search", req.Search, "evaluated", r.Evaluated, "pruned", r.Pruned)
+		}
 	}
-	s.reg.Counter("explore_search_total", `search="exhaustive"`).Inc()
-	r, err := dse.Explore(ctx, k, dse.Options{
-		Platform:        p,
-		SkipActual:      !req.Sim,
-		SkipBaseline:    true,
-		SimMaxGroups:    req.SimMaxGroups,
-		PruneInfeasible: req.Prune,
-		Workers:         req.Workers,
-		Cache:           s.prep,
-	})
 	if err != nil {
 		j.mu.Lock()
 		j.err = err.Error()
@@ -310,97 +346,27 @@ func (s *Server) runExplore(ctx context.Context, j *Job) {
 		s.log.Warn("explore job failed", "id", j.ID, "kernel", k.ID(), "err", err)
 		return
 	}
-	sum := &exploreSummary{
-		Points:           len(r.Points),
-		BaselineFailures: r.BaselineFailures,
-		WallMS:           float64(r.WallTime.Microseconds()) / 1000,
-		ModelMS:          float64(r.ModelTime.Microseconds()) / 1000,
-		SimMS:            float64(r.SimTime.Microseconds()) / 1000,
-	}
-	if best, ok := r.BestByModel(); ok {
-		sum.Best = &pointJSON{Design: designToJSON(best.Design), Est: best.Est, Actual: best.Actual}
-	}
+	sum.Points = len(points)
 	top := req.Top
 	if top <= 0 {
 		top = 10
 	}
-	byEst := append([]dse.Point(nil), r.Points...)
+	byEst := append([]dse.Point(nil), points...)
 	sort.SliceStable(byEst, func(a, b int) bool { return byEst[a].Est < byEst[b].Est })
-	if top > len(byEst) {
-		top = len(byEst)
+	for _, pt := range byEst[:min(top, len(byEst))] {
+		sum.Top = append(sum.Top, *pointOf(pt))
 	}
-	for _, pt := range byEst[:top] {
-		sum.Top = append(sum.Top, pointJSON{
-			Design: designToJSON(pt.Design), Est: pt.Est, Actual: pt.Actual,
-		})
-	}
-	s.reg.Counter("dse_points_total", `outcome="evaluated"`).Add(uint64(len(r.Points)))
 	j.mu.Lock()
-	j.summary = sum
+	j.summary = &sum
 	j.mu.Unlock()
 	j.setState(JobDone)
-	s.log.Info("explore job done", "id", j.ID, "kernel", k.ID(),
-		"points", len(r.Points), "wall", time.Since(t0).Round(time.Millisecond))
+	s.log.Info("explore job done", append(attrs, "wall", time.Since(t0).Round(time.Millisecond))...)
 }
 
-// runGuidedExplore executes a guided/pareto job through dse.Search,
-// sharing the server's prep cache with the exhaustive path.
-func (s *Server) runGuidedExplore(ctx context.Context, j *Job, k *bench.Kernel, p *device.Platform, req exploreRequest, t0 time.Time) {
-	s.reg.Counter("explore_search_total", fmt.Sprintf(`search="%s"`, req.Search)).Inc()
-	r, err := dse.Search(ctx, k, dse.SearchOptions{
-		Platform: p,
-		Workers:  req.Workers,
-		Cache:    s.prep,
-		Pareto:   req.Search == api.SearchPareto,
-	})
-	if err != nil {
-		j.mu.Lock()
-		j.err = err.Error()
-		j.mu.Unlock()
-		if ctx.Err() != nil {
-			j.setState(JobCanceled)
-		} else {
-			j.setState(JobFailed)
-		}
-		s.log.Warn("explore job failed", "id", j.ID, "kernel", k.ID(), "err", err)
-		return
-	}
-	s.reg.Counter("dse_points_total", `outcome="evaluated"`).Add(uint64(r.Evaluated))
-	s.reg.Counter("dse_points_total", `outcome="pruned"`).Add(uint64(r.Pruned))
-	sum := &exploreSummary{
-		Points:      len(r.Points),
-		WallMS:      float64(r.WallTime.Microseconds()) / 1000,
-		ModelMS:     float64(r.ModelTime.Microseconds()) / 1000,
-		Search:      req.Search,
-		SpacePoints: r.Space,
-		Evaluated:   r.Evaluated,
-		Pruned:      r.Pruned,
-	}
-	if r.BestOK {
-		sum.Best = &pointJSON{Design: designToJSON(r.Best.Design), Est: r.Best.Est}
-	}
-	top := req.Top
-	if top <= 0 {
-		top = 10
-	}
-	byEst := append([]dse.Point(nil), r.Points...)
-	sort.SliceStable(byEst, func(a, b int) bool { return byEst[a].Est < byEst[b].Est })
-	if top > len(byEst) {
-		top = len(byEst)
-	}
-	for _, pt := range byEst[:top] {
-		sum.Top = append(sum.Top, pointJSON{Design: designToJSON(pt.Design), Est: pt.Est})
-	}
-	for _, pt := range r.Frontier {
-		sum.Frontier = append(sum.Frontier, pointJSON{Design: designToJSON(pt.Design), Est: pt.Est})
-	}
-	j.mu.Lock()
-	j.summary = sum
-	j.mu.Unlock()
-	j.setState(JobDone)
-	s.log.Info("explore job done", "id", j.ID, "kernel", k.ID(),
-		"search", req.Search, "evaluated", r.Evaluated, "pruned", r.Pruned,
-		"wall", time.Since(t0).Round(time.Millisecond))
+// pointOf renders one design point for a job summary. Guided points
+// carry no simulated cycles, so their Actual is omitted.
+func pointOf(pt dse.Point) *pointJSON {
+	return &pointJSON{Design: designToJSON(pt.Design), Est: pt.Est, Actual: pt.Actual}
 }
 
 // submitExplore validates the bounds shared by both API versions and

@@ -106,12 +106,8 @@ type Config struct {
 	ExploreTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown (0 = 30 s).
 	DrainTimeout time.Duration
-	// MaxRetainedJobs bounds the finished-job history (0 = 1024).
-	MaxRetainedJobs int
 	// Logger receives request and job logs (nil = slog.Default()).
 	Logger *slog.Logger
-	// Namespace prefixes exported metrics (empty = "flexcl").
-	Namespace string
 	// TraceCapacity bounds the in-memory ring of finished request
 	// traces served on /debug/traces (0 = 256; negative disables
 	// tracing entirely — spans become no-ops).
@@ -120,6 +116,10 @@ type Config struct {
 	// after they rotate out of the recent ring (0 = 32).
 	TraceKeepSlowest int
 }
+
+// metricsNamespace prefixes every exported metric and names the expvar
+// export.
+const metricsNamespace = "flexcl"
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -161,14 +161,8 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.MaxRetainedJobs <= 0 {
-		c.MaxRetainedJobs = 1024
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
-	}
-	if c.Namespace == "" {
-		c.Namespace = "flexcl"
 	}
 	if c.TraceCapacity == 0 {
 		c.TraceCapacity = 256
@@ -213,7 +207,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		log:       cfg.Logger,
-		reg:       obs.NewRegistry(cfg.Namespace),
+		reg:       obs.NewRegistry(metricsNamespace),
 		prep:      dse.NewPrepCacheOpts(dse.PrepCacheOptions{Capacity: cfg.PrepCacheSize, Store: store}),
 		pred:      dse.NewPredCache(cfg.PredCacheSize),
 		artifacts: store,
@@ -226,7 +220,7 @@ func New(cfg Config) *Server {
 			s.reg.Histogram("stage_seconds", obs.Label("stage", stage)).Observe(seconds)
 		},
 	})
-	s.pool = newJobPool(s, cfg.Workers, cfg.QueueDepth, cfg.MaxRetainedJobs)
+	s.pool = newJobPool(s, cfg.Workers, cfg.QueueDepth)
 	s.reg.Help("requests_total", "HTTP requests by route and status code.")
 	s.reg.Help("request_seconds", "HTTP request latency by route.")
 	s.reg.Help("predict_cache_hit_ratio", "LRU prediction cache hit ratio since start.")
@@ -247,7 +241,7 @@ func New(cfg Config) *Server {
 	s.reg.Help("artifact_corrupt", "Corrupt, truncated or version-mismatched artifact files deleted on load.")
 	s.reg.Help("batch_items_total", "Batch prediction items by outcome.")
 	s.reg.Help("stage_seconds", "Per-pipeline-stage latency, fed from finished request traces.")
-	s.reg.PublishExpvar(cfg.Namespace)
+	s.reg.PublishExpvar(metricsNamespace)
 	return s
 }
 

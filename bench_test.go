@@ -218,7 +218,7 @@ func benchAblation(b *testing.B, ab model.Ablations, label string) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			an, err := model.Analyze(context.Background(), f, p, k.Config(d.WGSize), model.AnalysisOptions{})
+			an, err := model.Analyze(context.Background(), f, p, k.Config(d.WGSize))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -103,7 +103,7 @@ func main() {
 	}
 
 	launch := makeLaunch(f, *global, *wg, args)
-	an, err := model.Analyze(ctx, f, p, launch, model.AnalysisOptions{})
+	an, err := model.Analyze(ctx, f, p, launch)
 	fatal(err)
 
 	d := model.Design{

@@ -37,7 +37,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			an, err := model.Analyze(context.Background(), f, p, k.Config(d.WGSize), model.AnalysisOptions{})
+			an, err := model.Analyze(context.Background(), f, p, k.Config(d.WGSize))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(256), model.AnalysisOptions{})
+	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(256))
 	if err != nil {
 		log.Fatal(err)
 	}

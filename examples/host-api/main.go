@@ -59,7 +59,7 @@ func main() {
 
 	// 2. Performance questions. Profiling and simulation execute the
 	// kernel, so each runs on a launch of its own.
-	an, err := model.Analyze(context.Background(), k, p, newLaunch(), model.AnalysisOptions{})
+	an, err := model.Analyze(context.Background(), k, p, newLaunch())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func main() {
 		fmt.Printf("  L_mem^wi = %.2f cycles (Eq. 9)\n", trace.MemLatencyWI(cls, lat))
 
 		// How the memory behaviour decides the communication mode.
-		an, err := model.Analyze(context.Background(), k, p, makeLaunch(n, wg), model.AnalysisOptions{})
+		an, err := model.Analyze(context.Background(), k, p, makeLaunch(n, wg))
 		if err != nil {
 			log.Fatal(err)
 		}

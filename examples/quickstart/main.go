@@ -57,7 +57,7 @@ func main() {
 
 	fmt.Println("design                               estimate     simulated    error")
 	for _, d := range designs {
-		an, err := model.Analyze(context.Background(), k, platform, makeLaunch(d.WGSize), model.AnalysisOptions{})
+		an, err := model.Analyze(context.Background(), k, platform, makeLaunch(d.WGSize))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func main() {
 	}
 
 	// The estimate also converts to wall time on the platform clock.
-	an, _ := model.Analyze(context.Background(), k, platform, makeLaunch(64), model.AnalysisOptions{})
+	an, _ := model.Analyze(context.Background(), k, platform, makeLaunch(64))
 	best := an.Predict(designs[2])
 	fmt.Printf("\nbest shown design runs in ~%.1f µs at %.0f MHz\n",
 		best.Seconds*1e6, platform.ClockMHz)

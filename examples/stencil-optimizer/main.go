@@ -95,7 +95,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		an, err := model.Analyze(context.Background(), f, platform, w.Config(best.Design.WGSize), model.AnalysisOptions{})
+		an, err := model.Analyze(context.Background(), f, platform, w.Config(best.Design.WGSize))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,8 +25,7 @@ func analysisFor(t *testing.T, k *bench.Kernel, wg int64) *model.Analysis {
 		t.Fatal(err)
 	}
 	f.EnsureLoops()
-	an, err := model.Analyze(context.Background(), f, device.Virtex7(),
-		k.Config(wg), model.AnalysisOptions{ProfileGroups: 8})
+	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(wg))
 	if err != nil {
 		t.Fatal(err)
 	}

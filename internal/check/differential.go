@@ -144,8 +144,7 @@ func determinismFinding(k *bench.Kernel, cache *dse.PrepCache, wg int64, opts Op
 	if err != nil {
 		return nil, fmt.Errorf("check: recompiling %s wg=%d: %w", k.ID(), wg, err)
 	}
-	// Same ProfileGroups as dse.PrepCache so the runs are comparable.
-	an2, err := model.Analyze(context.Background(), f2, p, k.Config(wg), model.AnalysisOptions{ProfileGroups: 8})
+	an2, err := model.Analyze(context.Background(), f2, p, k.Config(wg))
 	if err != nil {
 		return nil, fmt.Errorf("check: re-analyzing %s wg=%d: %w", k.ID(), wg, err)
 	}

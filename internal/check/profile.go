@@ -37,11 +37,6 @@ const FamilyProfile = "profile"
 // decoration.
 const profileMinStaticFraction = 0.40
 
-// profileGroups is the sampled work-group budget of each comparison:
-// matches the prep pipeline's ProfileGroups so the family audits the
-// exact launches production profiles.
-const profileGroups = 8
-
 // profileAudit is one kernel's raw material for the comparator: the
 // analyzer's verdict and the profile diffs, precomputed so the
 // comparator stays pure and tests can feed fabricated mismatches.
@@ -153,8 +148,8 @@ func staticVsInterp(f *ir.Func, k *bench.Kernel, wg int64) staticAudit {
 	st := staticAudit{wg: wg}
 	for _, spread := range []bool{false, true} {
 		// Fresh Config per run: the interpreter mutates buffers.
-		sp, _, serr := interp.StaticProfile(f, k.Config(wg), profileGroups, spread)
-		ip, ierr := interp.InterpProfile(f, k.Config(wg), profileGroups, spread)
+		sp, _, serr := interp.StaticProfile(f, k.Config(wg), model.ProfileGroups, spread)
+		ip, ierr := interp.InterpProfile(f, k.Config(wg), model.ProfileGroups, spread)
 		if serr != nil {
 			st.staticErr = serr.Error()
 		}
@@ -201,19 +196,18 @@ func sweepVsPerWG(ctx context.Context, k *bench.Kernel, p *device.Platform) (boo
 			return false, ""
 		}
 	}
-	opts := model.AnalysisOptions{ProfileGroups: profileGroups}
-	ans, err := model.AnalyzeSweep(ctx, fs[0], p, k.Config(wgs[0]), locals, opts, sweepWorkers)
+	ans, err := model.AnalyzeSweep(ctx, fs[0], p, k.Config(wgs[0]), locals, sweepWorkers)
 	if errors.Is(err, interp.ErrNotShareable) {
 		return false, ""
 	}
 	if err != nil {
-		if _, rerr := model.Analyze(ctx, fs[0], p, k.Config(wgs[0]), opts); rerr == nil {
+		if _, rerr := model.Analyze(ctx, fs[0], p, k.Config(wgs[0])); rerr == nil {
 			return false, fmt.Sprintf("shared run faults (%v), wg %d analyzes", err, wgs[0])
 		}
 		return false, ""
 	}
 	for i, wg := range wgs {
-		ref, rerr := model.Analyze(ctx, fs[i], p, k.Config(wg), opts)
+		ref, rerr := model.Analyze(ctx, fs[i], p, k.Config(wg))
 		if rerr != nil {
 			return true, fmt.Sprintf("wg %d: shared run succeeds, per-WG fails: %v", wg, rerr)
 		}
@@ -231,10 +225,9 @@ func sweepVsPerWG(ctx context.Context, k *bench.Kernel, p *device.Platform) (boo
 // describes the first difference, or returns "".
 func streamVsMaterialized(ctx context.Context, f *ir.Func, k *bench.Kernel, p *device.Platform) string {
 	// Fresh Config per run: the interpreter mutates buffers.
-	an, aerr := model.Analyze(ctx, f, p, k.Config(k.MinWG),
-		model.AnalysisOptions{ProfileGroups: profileGroups})
+	an, aerr := model.Analyze(ctx, f, p, k.Config(k.MinWG))
 	cfg := k.Config(k.MinWG)
-	prof, perr := interp.ProfileKernel(f, cfg, profileGroups)
+	prof, perr := interp.ProfileKernel(f, cfg, model.ProfileGroups)
 	switch {
 	case aerr != nil && perr != nil:
 		if !strings.HasSuffix(aerr.Error(), perr.Error()) {

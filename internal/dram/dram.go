@@ -54,8 +54,10 @@ func (p Pattern) Read() bool {
 // Hit reports whether the pattern hits the row buffer.
 func (p Pattern) Hit() bool { return p <= WAWHit }
 
-// classify builds a Pattern from its components.
-func classify(write, prevWrite, hit bool) Pattern {
+// PatternOf classifies one access by Table 1: whether it writes,
+// whether the bank's previous access wrote, and whether it hits the
+// open row.
+func PatternOf(write, prevWrite, hit bool) Pattern {
 	var p Pattern
 	switch {
 	case !write && !prevWrite:
@@ -155,7 +157,7 @@ func (s *Sim) AccessAt(now int64, addr int64, write bool) (done int64, pat Patte
 	b := &s.banks[s.BankOf(addr)]
 	row := s.RowOf(addr)
 	hit := b.hasOpen && b.openRow == row
-	pat = classify(write, b.prevWrite, hit)
+	pat = PatternOf(write, b.prevWrite, hit)
 
 	start := now
 	if b.readyAt > start {

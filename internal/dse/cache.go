@@ -231,7 +231,7 @@ func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform
 		f.EnsureLoops()
 		csp.End()
 	}
-	an, err := model.Analyze(ctx, f, p, k.Config(wg), model.AnalysisOptions{ProfileGroups: profileGroups})
+	an, err := model.Analyze(ctx, f, p, k.Config(wg))
 	if err != nil {
 		e.err = fmt.Errorf("dse %s wg=%d: %w", k.ID(), wg, err)
 		return
@@ -239,9 +239,6 @@ func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform
 	e.f, e.an = f, an
 	e.dur = time.Since(t0)
 }
-
-// profileGroups is how many work-groups every fill profiles.
-const profileGroups = 8
 
 // restore attempts the disk tier for job j and reports whether it
 // filled the entry: load the record, recompile the kernel (cheap and
@@ -373,8 +370,7 @@ func (c *PrepCache) computeShared(ctx context.Context, k *bench.Kernel, p *devic
 		}
 		locals[i] = k.Local(j.wg)
 	}
-	ans, err := model.AnalyzeSweep(ctx, f, p, k.Config(jobs[0].wg), locals,
-		model.AnalysisOptions{ProfileGroups: profileGroups}, workers)
+	ans, err := model.AnalyzeSweep(ctx, f, p, k.Config(jobs[0].wg), locals, workers)
 	if err != nil {
 		return false
 	}

@@ -100,7 +100,7 @@ func TestHeuristicSearchFindsSomething(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := model.Analyze(context.Background(), f, p, k.Config(wg), model.AnalysisOptions{})
+		an, err := model.Analyze(context.Background(), f, p, k.Config(wg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -356,7 +356,7 @@ func AblationStudy(cfg Config, kernels []*bench.Kernel) ([]AblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			an, err := model.Analyze(context.Background(), f, p, k.Config(wg), model.AnalysisOptions{})
+			an, err := model.Analyze(context.Background(), f, p, k.Config(wg))
 			if err != nil {
 				return nil, err
 			}

@@ -19,7 +19,7 @@ func analyzeKernel(t *testing.T, benchName, kernel string, wg int64) *model.Anal
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(wg), model.AnalysisOptions{})
+	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(wg))
 	if err != nil {
 		t.Fatal(err)
 	}

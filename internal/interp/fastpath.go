@@ -85,9 +85,6 @@ func profileDispatch(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink
 // path; callers wanting the fast path use ProfileKernel/
 // ProfileKernelSpread.
 func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, error) {
-	if maxGroups <= 0 {
-		maxGroups = 2
-	}
 	sample := sampleFor(cfg, maxGroups, spread)
 	return materialize(func(sink GroupSink) (*Profile, error) {
 		return execute(f, cfg, sample, sink)
@@ -100,9 +97,6 @@ func InterpProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profil
 // launch that faults returns the first faulting work-item's error and
 // no profile.
 func StaticProfile(f *ir.Func, cfg *Config, maxGroups int, spread bool) (*Profile, bool, error) {
-	if maxGroups <= 0 {
-		maxGroups = 2
-	}
 	e := planFor(f)
 	if e.plan == nil {
 		return nil, false, nil

@@ -50,12 +50,14 @@ func fuzzConfig(f *ir.Func) *interp.Config {
 }
 
 // FuzzAffineAnalyzer feeds arbitrary OpenCL sources — seeded with every
-// bundled benchmark and every generator family — through the static
-// analyzer and both profiler paths. Invariants, for each kernel that
-// compiles: nothing panics; and whenever the analyzer claims a kernel,
-// the static profile must agree with the interpreter's bitwise or fail
-// exactly where the interpreter fails. The analyzer declining is always
-// acceptable; silently diverging never is.
+// bundled benchmark and every generator family — through the frontend,
+// the static analyzer and both profiler paths. Invariants, for each
+// kernel that compiles: nothing panics; a second compile of the source
+// gives the same code (ir.Func.SameCode), which shared sweep profiles
+// and artifact fingerprints assume; and whenever the analyzer claims a
+// kernel, the static profile must agree with the interpreter's bitwise
+// or fail exactly where the interpreter fails. The analyzer declining
+// is always acceptable; silently diverging never is.
 func FuzzAffineAnalyzer(f *testing.F) {
 	for _, k := range bench.All() {
 		f.Add(k.Source)
@@ -71,9 +73,19 @@ func FuzzAffineAnalyzer(f *testing.F) {
 		if len(src) > 1<<16 {
 			return // pathological inputs belong to the frontend fuzzers
 		}
-		m, err := irgen.Compile("fuzz.cl", []byte(src), map[string]string{"WG": "16"})
+		defines := map[string]string{"WG": "16"}
+		m, err := irgen.Compile("fuzz.cl", []byte(src), defines)
 		if err != nil {
 			return // frontend rejections are the parser fuzzers' domain
+		}
+		again, err := irgen.Compile("fuzz.cl", []byte(src), defines)
+		if err != nil || len(again.Kernels) != len(m.Kernels) {
+			t.Fatalf("second compile differs: %v\nsource:\n%s", err, src)
+		}
+		for i, kf := range m.Kernels {
+			if !kf.SameCode(again.Kernels[i]) {
+				t.Errorf("%s: two compiles of one source differ\nsource:\n%s", kf.Name, src)
+			}
 		}
 		// Keep runaway mutated loops cheap: profiling a fuzz kernel
 		// never needs more than a few thousand steps to compare paths.

@@ -152,7 +152,7 @@ func Run(f *ir.Func, cfg *Config) error {
 type GroupSink func(ord int, wis [][]Access)
 
 // ProfileKernel collects trip counts and global-memory traces for up to
-// maxGroups work-groups (default 2). The profiled groups are the first
+// maxGroups work-groups. The profiled groups are the first
 // maxGroups of the launch — FlexCL's own choice (§3.2), whose sampling
 // bias is part of the modeled error.
 //
@@ -175,9 +175,6 @@ func ProfileKernel(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
 // sink must treat ordinal 0 as a fresh start, so the rerun replaces what
 // the faulting run streamed instead of adding to it.
 func ProfileStream(f *ir.Func, cfg *Config, maxGroups int, sink GroupSink) (*Profile, error) {
-	if maxGroups <= 0 {
-		maxGroups = 2
-	}
 	return profileDispatch(f, cfg, sampleFor(cfg, maxGroups, false), sink)
 }
 
@@ -192,9 +189,6 @@ func ProfileStream(f *ir.Func, cfg *Config, maxGroups int, sink GroupSink) (*Pro
 // prefix. Buffers are mutated only on the interpreted path (see
 // ProfileKernel).
 func ProfileKernelSpread(f *ir.Func, cfg *Config, maxGroups int) (*Profile, error) {
-	if maxGroups <= 0 {
-		maxGroups = 2
-	}
 	sample := sampleFor(cfg, maxGroups, true)
 	return materialize(func(sink GroupSink) (*Profile, error) {
 		return profileDispatch(f, cfg, sample, sink)

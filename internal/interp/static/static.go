@@ -57,11 +57,10 @@ type Options struct {
 type Plan struct {
 	Fn *ir.Func
 
-	// Need marks the instructions whose result value must actually be
-	// computed: the backward slice of branch conditions, memory
-	// addresses, tracked stores and integer div/rem fault checks.
-	Need map[*ir.Instr]bool
-	// RegIndex assigns each needed instruction a dense register slot.
+	// RegIndex assigns a dense register slot to each instruction whose
+	// result value must actually be computed: the backward slice of
+	// branch conditions, memory addresses, tracked stores and integer
+	// div/rem fault checks.
 	RegIndex map[*ir.Instr]int
 	// NumRegs is the register file size.
 	NumRegs int
@@ -82,12 +81,6 @@ type Plan struct {
 
 	// BlockIndex gives each block a dense slot for trip counting.
 	BlockIndex map[*ir.Block]int
-
-	// LoopTrips holds the trip counts the affine analyzer derived for
-	// canonical counted loops (header block → trips). Diagnostic: the
-	// executor recovers exact counts by walking the slice, but these
-	// are what "statically known" means for reporting.
-	LoopTrips map[*ir.Block]int64
 
 	// GlobalOnly reports that every work-item query in the slice reads
 	// launch-global geometry only (get_global_id, get_global_size,
@@ -318,13 +311,11 @@ func (a *analyzer) track(st ir.Storage) error {
 func (a *analyzer) plan() *Plan {
 	p := &Plan{
 		Fn:             a.f,
-		Need:           a.need,
-		RegIndex:       make(map[*ir.Instr]int),
+		RegIndex:       make(map[*ir.Instr]int, len(a.need)),
 		TrackedAllocas: make(map[*ir.Alloca]bool),
 		SliceParams:    make(map[*ir.Param]bool),
 		Steps:          make(map[*ir.Block][]*ir.Instr, len(a.f.Blocks)),
 		BlockIndex:     make(map[*ir.Block]int, len(a.f.Blocks)),
-		LoopTrips:      TripCounts(a.f),
 		GlobalOnly:     true,
 	}
 	for st := range a.tracked {

@@ -34,7 +34,7 @@ __kernel void vecadd(__global float* a, __global float* b, __global float* c) {
 	}
 	// The float add is pure data computation: it must NOT be in the
 	// slice. The address (global id, converts) must be.
-	for in := range plan.Need {
+	for in := range plan.RegIndex {
 		switch in.Op {
 		case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
 			t.Errorf("data computation %v leaked into the slice", in.Op)
@@ -58,25 +58,8 @@ __kernel void rowsum(__global float* a, __global float* out, int n) {
     }
     out[i] = s;
 }`, "rowsum")
-	plan, err := static.Analyze(f, static.Options{})
-	if err != nil {
+	if _, err := static.Analyze(f, static.Options{}); err != nil {
 		t.Fatalf("counted loop should be analyzable: %v", err)
-	}
-	f.EnsureLoops()
-	if len(f.Loops) == 0 {
-		t.Fatal("expected a loop")
-	}
-	var found bool
-	for _, l := range f.Loops {
-		if n, ok := plan.LoopTrips[l.Header]; ok {
-			found = true
-			if n != 12 {
-				t.Errorf("trip count = %d, want 12", n)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("constant-bound loop missing from LoopTrips %v", plan.LoopTrips)
 	}
 }
 
@@ -230,37 +213,5 @@ __kernel void claim(__global int* ctr, __global float* out) {
 func TestAnalyzeNilFunc(t *testing.T) {
 	if _, err := static.Analyze(nil, static.Options{}); err == nil {
 		t.Error("nil func should decline, not panic")
-	}
-}
-
-func TestTripCounts(t *testing.T) {
-	cases := []struct {
-		name string
-		loop string
-		trip int64
-	}{
-		{"lt", "for (int j = 0; j < 10; j++)", 10},
-		{"le", "for (int j = 0; j <= 10; j++)", 11},
-		{"step", "for (int j = 0; j < 10; j += 3)", 4},
-		{"down", "for (int j = 9; j >= 0; j--)", 10},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			f := compile(t, `
-__kernel void k(__global float* a) {
-    int i = get_global_id(0);
-    `+c.loop+` {
-        a[i] += 1.0f;
-    }
-}`, "k")
-			f.EnsureLoops()
-			if len(f.Loops) != 1 {
-				t.Fatalf("loops = %d, want 1", len(f.Loops))
-			}
-			trips := static.TripCounts(f)
-			if got := trips[f.Loops[0].Header]; got != c.trip {
-				t.Errorf("trip = %d, want %d", got, c.trip)
-			}
-		})
 	}
 }

@@ -38,9 +38,6 @@ var ErrNotShareable = errors.New("interp: launches cannot share one profile")
 // partial sweep and the error is returned; the caller must profile each
 // launch on its own to get the reference error and partial profile.
 func ProfileSweep(f *ir.Func, cfg *Config, locals [][3]int64, maxGroups, workers int, sinks []GroupSink) ([]*Profile, error) {
-	if maxGroups <= 0 {
-		maxGroups = 2
-	}
 	if len(sinks) != len(locals) {
 		return nil, fmt.Errorf("interp: sweep of %d launches with %d sinks", len(locals), len(sinks))
 	}

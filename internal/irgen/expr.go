@@ -551,7 +551,7 @@ func (g *generator) binary(x *ast.BinaryExpr) ir.Value {
 		in.Args = []ir.Value{an, bn}
 		return in
 	case token.EQ, token.NEQ, token.LT, token.LEQ, token.GT, token.GEQ:
-		ct := commonType(a.Type(), b.Type())
+		ct := sema.UsualArith(a.Type(), b.Type())
 		a = g.coerce(a, ct)
 		b = g.coerce(b, ct)
 		op := ir.OpICmp
@@ -643,33 +643,6 @@ func predOf(k token.Kind) ir.Pred {
 	default:
 		return ir.PredGE
 	}
-}
-
-func commonType(a, b ast.Type) ast.Type {
-	rank := func(k ast.BaseKind) int {
-		switch k {
-		case ast.KDouble:
-			return 10
-		case ast.KFloat:
-			return 9
-		case ast.KULong:
-			return 8
-		case ast.KLong:
-			return 7
-		case ast.KUInt:
-			return 6
-		default:
-			return 5
-		}
-	}
-	out := a
-	if rank(b.Base) > rank(a.Base) {
-		out.Base = b.Base
-	}
-	if b.Lanes() > out.Lanes() {
-		out.Vec = b.Vec
-	}
-	return out
 }
 
 func (g *generator) assign(x *ast.AssignExpr) ir.Value {
@@ -767,7 +740,7 @@ func (g *generator) builtinCall(x *ast.CallExpr, b *sema.Builtin) ir.Value {
 	case sema.BWorkItem:
 		dim := 0
 		if len(x.Args) > 0 {
-			if c, ok := constInt(x.Args[0]); ok {
+			if c, ok := sema.ConstFold(x.Args[0]); ok {
 				dim = int(c)
 			} else {
 				// Dynamic dimension arguments are rare; evaluate and pin 0.

@@ -443,7 +443,7 @@ func (g *generator) returnStmt(st *ast.ReturnStmt) {
 }
 
 // staticTrip recognizes for (i = c0; i <cmp> cN; i += step) with integer
-// constants and returns the trip count.
+// constant expressions (sema.ConstFold) and returns the trip count.
 func (g *generator) staticTrip(st *ast.ForStmt) (int64, bool) {
 	// Initial value.
 	var ivSym *sema.Symbol
@@ -451,7 +451,7 @@ func (g *generator) staticTrip(st *ast.ForStmt) (int64, bool) {
 	switch init := st.Init.(type) {
 	case *ast.DeclStmt:
 		sym := g.info.VarSyms[init]
-		v, ok := constInt(init.Init)
+		v, ok := sema.ConstFold(init.Init)
 		if !ok {
 			return 0, false
 		}
@@ -465,7 +465,7 @@ func (g *generator) staticTrip(st *ast.ForStmt) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		v, ok := constInt(as.RHS)
+		v, ok := sema.ConstFold(as.RHS)
 		if !ok {
 			return 0, false
 		}
@@ -485,7 +485,7 @@ func (g *generator) staticTrip(st *ast.ForStmt) (int64, bool) {
 	if !ok || g.info.Uses[id] != ivSym {
 		return 0, false
 	}
-	bound, ok := constInt(cmp.Y)
+	bound, ok := sema.ConstFold(cmp.Y)
 	if !ok {
 		return 0, false
 	}
@@ -510,7 +510,7 @@ func (g *generator) staticTrip(st *ast.ForStmt) (int64, bool) {
 		if !ok || g.info.Uses[pid] != ivSym {
 			return 0, false
 		}
-		c, ok := constInt(post.RHS)
+		c, ok := sema.ConstFold(post.RHS)
 		if !ok {
 			return 0, false
 		}
@@ -557,45 +557,3 @@ func (g *generator) staticTrip(st *ast.ForStmt) (int64, bool) {
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-func constInt(e ast.Expr) (int64, bool) {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.IntLit:
-		return x.Value, true
-	case *ast.UnaryExpr:
-		v, ok := constInt(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case token.SUB:
-			return -v, true
-		case token.ADD:
-			return v, true
-		}
-	case *ast.BinaryExpr:
-		a, ok1 := constInt(x.X)
-		b, ok2 := constInt(x.Y)
-		if ok1 && ok2 {
-			switch x.Op {
-			case token.ADD:
-				return a + b, true
-			case token.SUB:
-				return a - b, true
-			case token.MUL:
-				return a * b, true
-			case token.QUO:
-				if b != 0 {
-					return a / b, true
-				}
-			case token.SHL:
-				return a << uint(b), true
-			case token.SHR:
-				return a >> uint(b), true
-			}
-		}
-	case *ast.CastExpr:
-		return constInt(x.X)
-	}
-	return 0, false
-}

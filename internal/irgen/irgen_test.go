@@ -102,6 +102,13 @@ func TestStaticTripVariants(t *testing.T) {
 		{"for (int i = 10; i > 0; i--)", 10},
 		{"for (int i = 9; i >= 0; i--)", 10},
 		{"for (int i = 0; i < 7; i += 2)", 4},
+		// Bounds fold with sema's folder, remainder and bitwise
+		// operators included.
+		{"for (int i = 0; i < (100 % 64); i++)", 36},
+		{"for (int i = 0; i < (63 & 20); i++)", 20},
+		{"for (int i = 0; i < (8 | 4); i++)", 12},
+		{"for (int i = 0; i < (12 ^ 4); i++)", 8},
+		{"for (int i = 0; i < ~(-6); i++)", 5},
 	}
 	for _, c := range cases {
 		src := `__kernel void k(__global int* x) { int s = 0; ` + c.loop +
@@ -129,6 +136,34 @@ __kernel void k(__global int* x, int n) {
 	}
 	if k.Loops[0].StaticTrip != -1 {
 		t.Errorf("trip = %d, want -1 (dynamic)", k.Loops[0].StaticTrip)
+	}
+}
+
+// TestCompareSubIntPromotes pins C's integer promotion in comparisons:
+// two uchar operands compare as int, the type sema gives the operands.
+func TestCompareSubIntPromotes(t *testing.T) {
+	k := kernel(t, `
+__kernel void k(__global uchar* a, __global int* out) {
+    uchar x = a[0];
+    uchar y = a[1];
+    out[0] = x < y;
+}`, "k")
+	var cmps int
+	for _, b := range k.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpICmp {
+				continue
+			}
+			cmps++
+			for i, arg := range in.Args {
+				if got := arg.Type(); got != ast.Scalar(ast.KInt) {
+					t.Errorf("icmp operand %d type = %v, want int", i, got)
+				}
+			}
+		}
+	}
+	if cmps != 1 {
+		t.Errorf("icmp count = %d, want 1", cmps)
 	}
 }
 

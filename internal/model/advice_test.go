@@ -20,7 +20,7 @@ func analyzeBench(t *testing.T, benchName, kernel string, wg int64) *model.Analy
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(wg), model.AnalysisOptions{})
+	an, err := model.Analyze(context.Background(), f, device.Virtex7(), k.Config(wg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func analyzeKernel(tb testing.TB, k *bench.Kernel, p *device.Platform, wg int64)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	an, err := Analyze(context.Background(), f, p, k.Config(wg), AnalysisOptions{})
+	an, err := Analyze(context.Background(), f, p, k.Config(wg))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -128,12 +128,9 @@ func (a *Analysis) totals() sched.FuncTotals {
 	return a.memo.tot
 }
 
-// AnalysisOptions tunes Analyze.
-type AnalysisOptions struct {
-	// ProfileGroups is how many work-groups the dynamic profiler runs
-	// (§3.2: "only a few work-groups are profiled"). Default 8.
-	ProfileGroups int
-}
+// ProfileGroups is how many work-groups the dynamic profiler runs per
+// launch (§3.2: "only a few work-groups are profiled").
+const ProfileGroups = 8
 
 // The device micro-benchmark lengths: the op-latency profiling sample
 // count and the DRAM pattern-profiling length.
@@ -141,14 +138,6 @@ const (
 	opSamples   = 256
 	dramSamples = 4096
 )
-
-// withDefaults fills the unset options.
-func (o AnalysisOptions) withDefaults() AnalysisOptions {
-	if o.ProfileGroups <= 0 {
-		o.ProfileGroups = 8
-	}
-	return o
-}
 
 // Analyze runs FlexCL's kernel analysis (§3.2) for one kernel and launch
 // configuration: dynamic profiling for trip counts and the memory trace,
@@ -165,8 +154,7 @@ func (o AnalysisOptions) withDefaults() AnalysisOptions {
 // that share one analysis across requests should analyze under a
 // detached context instead (see dse.PrepCache), so one impatient
 // request cannot poison the shared fill.
-func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Config, opts AnalysisOptions) (*Analysis, error) {
-	opts = opts.withDefaults()
+func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Config) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -176,11 +164,11 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 	f.EnsureLoops()
 	_, psp := telemetry.Start(ctx, "profile")
 	stream := trace.NewStream(trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM), p.DRAM, p.MemAccessUnitBits/8)
-	prof, err := interp.ProfileStream(f, cfg, opts.ProfileGroups, stream.Group)
+	prof, err := interp.ProfileStream(f, cfg, ProfileGroups, stream.Group)
 	if prof != nil {
 		psp.Annotate("source", string(prof.Source))
 	}
-	psp.Annotate("groups", fmt.Sprint(opts.ProfileGroups))
+	psp.Annotate("groups", fmt.Sprint(ProfileGroups))
 	psp.End()
 	if err != nil {
 		return nil, fmt.Errorf("model: profiling %s: %w", f.Name, err)
@@ -205,8 +193,7 @@ func Analyze(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Co
 // run, whose work-items are the largest launch's profiled ones. Either
 // way, Analyze each geometry on its own for the reference result or
 // error. The "profile" span carries shared=true and wg_sizes.
-func AnalyzeSweep(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Config, locals [][3]int64, opts AnalysisOptions, workers int) ([]*Analysis, error) {
-	opts = opts.withDefaults()
+func AnalyzeSweep(ctx context.Context, f *ir.Func, p *device.Platform, cfg *interp.Config, locals [][3]int64, workers int) ([]*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -217,7 +204,7 @@ func AnalyzeSweep(ctx context.Context, f *ir.Func, p *device.Platform, cfg *inte
 	_, psp := telemetry.Start(ctx, "profile")
 	psp.Annotate("shared", "true")
 	psp.Annotate("wg_sizes", fmt.Sprint(len(locals)))
-	psp.Annotate("groups", fmt.Sprint(opts.ProfileGroups))
+	psp.Annotate("groups", fmt.Sprint(ProfileGroups))
 	layout := trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM)
 	nds := make([]interp.NDRange, len(locals))
 	streams := make([]*trace.Stream, len(locals))
@@ -227,7 +214,7 @@ func AnalyzeSweep(ctx context.Context, f *ir.Func, p *device.Platform, cfg *inte
 		streams[i] = trace.NewStream(layout, p.DRAM, p.MemAccessUnitBits/8)
 		sinks[i] = streams[i].Group
 	}
-	profs, err := interp.ProfileSweep(f, cfg, locals, opts.ProfileGroups, workers, sinks)
+	profs, err := interp.ProfileSweep(f, cfg, locals, ProfileGroups, workers, sinks)
 	if err == nil {
 		psp.Annotate("source", string(interp.SourceStatic))
 	}

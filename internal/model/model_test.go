@@ -51,7 +51,7 @@ func vaddLaunch(n, wg int64) *interp.Config {
 func analyze(t *testing.T, src, name string, n, wg int64) *model.Analysis {
 	t.Helper()
 	k := compileKernel(t, src, name)
-	an, err := model.Analyze(context.Background(), k, device.Virtex7(), vaddLaunch(n, wg), model.AnalysisOptions{})
+	an, err := model.Analyze(context.Background(), k, device.Virtex7(), vaddLaunch(n, wg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ __kernel void k(__global float* x) {
 		Range:   interp.NDRange{Global: [3]int64{64}, Local: [3]int64{64}},
 		Buffers: map[string]*interp.Buffer{"x": buf},
 	}
-	an, err := model.Analyze(context.Background(), k, device.Virtex7(), cfg, model.AnalysisOptions{})
+	an, err := model.Analyze(context.Background(), k, device.Virtex7(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAblationsChangeEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := model.Analyze(context.Background(), f, device.Virtex7(), kb.Config(64), model.AnalysisOptions{})
+	an, err := model.Analyze(context.Background(), f, device.Virtex7(), kb.Config(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 // counts, barriers and work-item count behind the two agree. Both
 // profiler paths must be among the cases.
 func TestAnalyzeStreamMatchesMaterialized(t *testing.T) {
-	const groups = 8
 	p := device.Virtex7()
 	var mu sync.Mutex
 	sources := map[interp.Source]int{}
@@ -36,13 +35,12 @@ func TestAnalyzeStreamMatchesMaterialized(t *testing.T) {
 						t.Fatalf("wg %d: compile: %v", wg, err)
 					}
 					// Fresh Config per run: the interpreter mutates buffers.
-					an, err := model.Analyze(context.Background(), f, p, k.Config(wg),
-						model.AnalysisOptions{ProfileGroups: groups})
+					an, err := model.Analyze(context.Background(), f, p, k.Config(wg))
 					if err != nil {
 						t.Fatalf("wg %d: analyze: %v", wg, err)
 					}
 					cfg := k.Config(wg)
-					prof, err := interp.ProfileKernel(f, cfg, groups)
+					prof, err := interp.ProfileKernel(f, cfg, model.ProfileGroups)
 					if err != nil {
 						t.Fatalf("wg %d: profile: %v", wg, err)
 					}
@@ -74,10 +72,11 @@ func TestAnalyzeStreamMatchesMaterialized(t *testing.T) {
 }
 
 // TestAnalyzeAllocsIndependentOfProfiledGroups guards the streamed
-// trace: Analyze holds one work-group's traces at a time, so profiling
-// more groups must not grow what it allocates the way materialized
-// traces did. gemm at WG 256 launches 16 groups, so ProfileGroups 32
-// profiles twice the groups of 8 (materialized: 40 MB, then 80 MB).
+// trace: Analyze's profile, interp.ProfileStream into a trace.Stream,
+// holds one work-group's traces at a time, so profiling more groups must
+// not grow what it allocates the way materialized traces did. gemm at
+// WG 256 launches 16 groups, so 32 groups profile twice the groups of 8
+// (materialized: 40 MB, then 80 MB).
 func TestAnalyzeAllocsIndependentOfProfiledGroups(t *testing.T) {
 	const wg = 256
 	k := bench.FindID("gemm/gemm")
@@ -92,21 +91,23 @@ func TestAnalyzeAllocsIndependentOfProfiledGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := device.Virtex7()
-	analyze := func(groups int) uint64 {
+	profile := func(groups int) uint64 {
 		cfg := k.Config(wg)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := model.Analyze(context.Background(), f, p, cfg, model.AnalysisOptions{ProfileGroups: groups})
+		stream := trace.NewStream(trace.NewLayout(f, trace.BufferCounts(f, cfg), p.DRAM), p.DRAM, p.MemAccessUnitBits/8)
+		_, err := interp.ProfileStream(f, cfg, groups, stream.Group)
+		stream.Classified()
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	analyze(8) // the first analysis also builds f's static plan
-	at8, at32 := analyze(8), analyze(32)
-	t.Logf("Analyze allocates %.2f MB at 8 groups, %.2f MB at 32", float64(at8)/1e6, float64(at32)/1e6)
+	profile(8) // the first profile also builds f's static plan
+	at8, at32 := profile(8), profile(32)
+	t.Logf("the streamed profile allocates %.2f MB at 8 groups, %.2f MB at 32", float64(at8)/1e6, float64(at32)/1e6)
 	if float64(at32) > 1.25*float64(at8) {
-		t.Errorf("Analyze allocates %d bytes at 32 groups, more than 1.25 × %d at 8", at32, at8)
+		t.Errorf("the streamed profile allocates %d bytes at 32 groups, more than 1.25 × %d at 8", at32, at8)
 	}
 }

@@ -12,10 +12,8 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
-
-// sweepGroups matches the prep cache's profiled work-group budget.
-const sweepGroups = 8
 
 // sweepCase is one kernel compiled at every WG size of its sweep.
 type sweepCase struct {
@@ -54,8 +52,7 @@ func (c sweepCase) perWG() ([]*model.Analysis, []error) {
 	ans := make([]*model.Analysis, len(c.wgs))
 	errs := make([]error, len(c.wgs))
 	for i, wg := range c.wgs {
-		ans[i], errs[i] = model.Analyze(context.Background(), c.fs[i], p, c.k.Config(wg),
-			model.AnalysisOptions{ProfileGroups: sweepGroups})
+		ans[i], errs[i] = model.Analyze(context.Background(), c.fs[i], p, c.k.Config(wg))
 	}
 	return ans, errs
 }
@@ -63,7 +60,7 @@ func (c sweepCase) perWG() ([]*model.Analysis, []error) {
 // sweep analyzes every size of c with one shared profile.
 func (c sweepCase) sweep(workers int) ([]*model.Analysis, error) {
 	return model.AnalyzeSweep(context.Background(), c.fs[0], device.Virtex7(), c.k.Config(c.wgs[0]),
-		c.locals, model.AnalysisOptions{ProfileGroups: sweepGroups}, workers)
+		c.locals, workers)
 }
 
 // checkSweep compares c's shared sweep at each worker count with the
@@ -234,12 +231,13 @@ __kernel void late_fault(__global const float* a, __global float* out) {
 	checkSweep(t, c, 1, 2)
 }
 
-// TestAnalyzeSweepAllocsBounded guards the kept groups: a 1-D sweep
-// recycles each group's trace buffers once every size has taken its
-// groups, so profiling more groups must not grow what the sweep
+// TestAnalyzeSweepAllocsBounded guards the kept groups: AnalyzeSweep's
+// profile, interp.ProfileSweep into one trace.Stream per size, recycles
+// each group's trace buffers of a 1-D sweep once every size has taken
+// its groups, so profiling more groups must not grow what the sweep
 // allocates the way keeping the union would. lavaMD traces ~263
 // accesses per work-item and launches 16 groups at its largest size,
-// so ProfileGroups 32 profiles twice the groups of 8.
+// so 32 groups profile twice the groups of 8.
 func TestAnalyzeSweepAllocsBounded(t *testing.T) {
 	k := bench.FindID("lavaMD/lavaMD")
 	if k == nil {
@@ -257,8 +255,17 @@ func TestAnalyzeSweepAllocsBounded(t *testing.T) {
 		cfg := k.Config(c.wgs[0])
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := model.AnalyzeSweep(context.Background(), c.fs[0], p, cfg, c.locals,
-			model.AnalysisOptions{ProfileGroups: groups}, 2)
+		layout := trace.NewLayout(c.fs[0], trace.BufferCounts(c.fs[0], cfg), p.DRAM)
+		streams := make([]*trace.Stream, len(c.locals))
+		sinks := make([]interp.GroupSink, len(c.locals))
+		for i := range streams {
+			streams[i] = trace.NewStream(layout, p.DRAM, p.MemAccessUnitBits/8)
+			sinks[i] = streams[i].Group
+		}
+		_, err := interp.ProfileSweep(c.fs[0], cfg, c.locals, groups, 2, sinks)
+		for _, s := range streams {
+			s.Classified()
+		}
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -267,8 +274,8 @@ func TestAnalyzeSweepAllocsBounded(t *testing.T) {
 	}
 	sweep(8) // the first sweep also builds the static plan
 	at8, at32 := sweep(8), sweep(32)
-	t.Logf("AnalyzeSweep allocates %.2f MB at 8 groups, %.2f MB at 32", float64(at8)/1e6, float64(at32)/1e6)
+	t.Logf("the shared profile allocates %.2f MB at 8 groups, %.2f MB at 32", float64(at8)/1e6, float64(at32)/1e6)
 	if float64(at32) > 1.25*float64(at8) {
-		t.Errorf("AnalyzeSweep allocates %d bytes at 32 groups, more than 1.25 × %d at 8", at32, at8)
+		t.Errorf("the shared profile allocates %d bytes at 32 groups, more than 1.25 × %d at 8", at32, at8)
 	}
 }

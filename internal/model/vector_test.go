@@ -46,11 +46,11 @@ __kernel void scale4(__global const float4* in, __global float4* out, int n) {
 		Scalars: map[string]interp.Val{"n": interp.IntVal(elems / 4)},
 	}
 
-	anS, err := model.Analyze(context.Background(), scalarK, p, scalarCfg, model.AnalysisOptions{})
+	anS, err := model.Analyze(context.Background(), scalarK, p, scalarCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	anV, err := model.Analyze(context.Background(), vecK, p, vecCfg, model.AnalysisOptions{})
+	anV, err := model.Analyze(context.Background(), vecK, p, vecCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

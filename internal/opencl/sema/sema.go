@@ -227,7 +227,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 			}
 			for _, v := range cs.Vals {
 				c.checkExpr(v)
-				n, ok := c.constFold(v)
+				n, ok := ConstFold(v)
 				if !ok {
 					c.errorf(v.Pos(), "case label must be an integer constant")
 					continue
@@ -252,7 +252,7 @@ func (c *checker) checkDecl(d *ast.DeclStmt) {
 	sym := &Symbol{Name: d.Name, Kind: SymVar, Type: d.Type, Space: d.Space, Decl: d}
 	for _, lenExpr := range d.ArrayLen {
 		c.checkExpr(lenExpr)
-		n, ok := c.constFold(lenExpr)
+		n, ok := ConstFold(lenExpr)
 		if !ok || n <= 0 {
 			c.errorf(lenExpr.Pos(), "array dimension of %s must be a positive constant", d.Name)
 			n = 1
@@ -269,15 +269,16 @@ func (c *checker) checkDecl(d *ast.DeclStmt) {
 	c.declare(sym, d.Pos())
 }
 
-// constFold evaluates an integer constant expression (literals, idents
-// bound to macro-expanded literals arrive as literals, unary +/-, binary
-// arithmetic and shifts).
-func (c *checker) constFold(e ast.Expr) (int64, bool) {
+// ConstFold evaluates an integer constant expression: literals (macros
+// arrive expanded), unary +, - and ~, binary arithmetic, remainder,
+// shifts and bitwise operators, and casts. It reads only the expression,
+// so the IR generator folds with it too.
+func ConstFold(e ast.Expr) (int64, bool) {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.IntLit:
 		return x.Value, true
 	case *ast.UnaryExpr:
-		v, ok := c.constFold(x.X)
+		v, ok := ConstFold(x.X)
 		if !ok {
 			return 0, false
 		}
@@ -290,8 +291,8 @@ func (c *checker) constFold(e ast.Expr) (int64, bool) {
 			return ^v, true
 		}
 	case *ast.BinaryExpr:
-		a, ok1 := c.constFold(x.X)
-		b, ok2 := c.constFold(x.Y)
+		a, ok1 := ConstFold(x.X)
+		b, ok2 := ConstFold(x.Y)
 		if !ok1 || !ok2 {
 			return 0, false
 		}
@@ -322,7 +323,7 @@ func (c *checker) constFold(e ast.Expr) (int64, bool) {
 			return a ^ b, true
 		}
 	case *ast.CastExpr:
-		return c.constFold(x.X)
+		return ConstFold(x.X)
 	}
 	return 0, false
 }
@@ -336,9 +337,10 @@ func setType(e ast.Expr, t ast.Type) ast.Type {
 	return t
 }
 
-// usualArith implements the usual arithmetic conversions for two operand
-// types: float beats int, wider beats narrower, vectors dominate scalars.
-func usualArith(a, b ast.Type) ast.Type {
+// UsualArith implements the usual arithmetic conversions for two operand
+// types: float beats int, wider beats narrower, vectors dominate scalars,
+// and sub-int integers promote to int.
+func UsualArith(a, b ast.Type) ast.Type {
 	if a.Ptr {
 		return a
 	}
@@ -434,7 +436,7 @@ func (c *checker) checkExpr(e ast.Expr) ast.Type {
 			token.LT, token.GT, token.LEQ, token.GEQ:
 			t := ast.Scalar(ast.KInt)
 			if a.IsVector() || b.IsVector() {
-				t = usualArith(a, b)
+				t = UsualArith(a, b)
 				t.Base = ast.KInt
 			}
 			return setType(x, t)
@@ -448,7 +450,7 @@ func (c *checker) checkExpr(e ast.Expr) ast.Type {
 				}
 				return setType(x, b)
 			}
-			return setType(x, usualArith(a, b))
+			return setType(x, UsualArith(a, b))
 		}
 	case *ast.AssignExpr:
 		lt := c.checkExpr(x.LHS)
@@ -461,7 +463,7 @@ func (c *checker) checkExpr(e ast.Expr) ast.Type {
 		c.checkExpr(x.Cond)
 		a := c.checkExpr(x.Then)
 		b := c.checkExpr(x.Else)
-		return setType(x, usualArith(a, b))
+		return setType(x, UsualArith(a, b))
 	case *ast.CallExpr:
 		return c.checkCall(x)
 	case *ast.IndexExpr:

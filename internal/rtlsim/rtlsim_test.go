@@ -140,7 +140,7 @@ func TestModelTracksSimulatorAcrossDesigns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := model.Analyze(context.Background(), f, p, k.Config(d.WGSize), model.AnalysisOptions{})
+		an, err := model.Analyze(context.Background(), f, p, k.Config(d.WGSize))
 		if err != nil {
 			t.Fatal(err)
 		}

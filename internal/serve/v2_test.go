@@ -285,7 +285,7 @@ func TestAnalyzeCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = model.Analyze(ctx, f, device.Virtex7(), k.Config(64), model.AnalysisOptions{})
+	_, err = model.Analyze(ctx, f, device.Virtex7(), k.Config(64))
 	if err == nil {
 		t.Fatal("Analyze with cancelled context succeeded")
 	}

@@ -281,7 +281,7 @@ func (s *Stream) classify(b Burst) {
 	st := &s.banks[s.sim.BankOf(b.Addr)]
 	row := s.sim.RowOf(b.Addr)
 	hit := st.hasOpen && st.openRow == row
-	g.n[patternOf(b.Write, st.prevWrite, hit)]++
+	g.n[dram.PatternOf(b.Write, st.prevWrite, hit)]++
 	g.bursts++
 	if b.Write {
 		g.writes++
@@ -339,25 +339,6 @@ func ClassifyGrouped(traces [][]interp.Access, wgSize int64, l Layout, p device.
 	s := NewStream(l, p, unitBytes)
 	eachGroup(traces, wgSize, s.Group)
 	return s.Classified()
-}
-
-// patternOf mirrors the dram package's classification.
-func patternOf(write, prevWrite, hit bool) dram.Pattern {
-	var p dram.Pattern
-	switch {
-	case !write && !prevWrite:
-		p = dram.RARHit
-	case !write && prevWrite:
-		p = dram.RAWHit
-	case write && !prevWrite:
-		p = dram.WARHit
-	default:
-		p = dram.WAWHit
-	}
-	if !hit {
-		p += 4
-	}
-	return p
 }
 
 // MemLatencyWI evaluates Eq. 9: the per-work-item global-memory latency

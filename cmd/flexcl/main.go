@@ -9,8 +9,8 @@
 //	       [-mode barrier|pipeline] [-arg name=value]...
 //
 // Pointer arguments are bound to synthetic buffers sized from -global;
-// integer scalar arguments default to the global size and can be set
-// explicitly with -arg.
+// scalar arguments default to the global size and can be set explicitly
+// with -arg (a float parameter takes the value as a float).
 package main
 
 import (
@@ -165,7 +165,8 @@ func main() {
 
 // makeLaunch synthesizes buffers and scalars for an arbitrary kernel:
 // pointer parameters get deterministic pseudo-noise buffers sized from
-// the global work size; integer scalars default to the problem size.
+// the global work size; scalars default to the problem size, bound by
+// their declared type.
 func makeLaunch(f *ir.Func, global, wg int64, args argList) *interp.Config {
 	launch := &interp.Config{
 		Range:   interp.NDRange{Global: [3]int64{global}, Local: [3]int64{wg}},
@@ -194,9 +195,13 @@ func makeLaunch(f *ir.Func, global, wg int64, args argList) *interp.Config {
 		}
 		v, ok := args[prm.PName]
 		if !ok {
-			v = global // int scalars default to the problem size
+			v = global // scalars default to the problem size
 		}
-		launch.Scalars[prm.PName] = interp.IntVal(v)
+		if prm.T.Base.IsFloat() {
+			launch.Scalars[prm.PName] = interp.FloatVal(float64(v))
+		} else {
+			launch.Scalars[prm.PName] = interp.IntVal(v)
+		}
 	}
 	return launch
 }

@@ -52,12 +52,14 @@ func main() {
 	for _, name := range []string{"seq", "strided", "random_access"} {
 		k := mod.Kernel(name)
 		launch := makeLaunch(n, wg)
-		prof, err := interp.ProfileKernel(k, launch, 4)
-		if err != nil {
+		// Each profiled work-group's traces stream into the classifier as
+		// the group completes.
+		layout := trace.NewLayout(k, trace.BufferCounts(k, launch), p.DRAM)
+		stream := trace.NewStream(layout, p.DRAM, p.MemAccessUnitBits/8)
+		if _, err := interp.ProfileStream(k, launch, 4, stream.Group); err != nil {
 			log.Fatal(err)
 		}
-		layout := trace.NewLayout(k, trace.BufferCounts(k, launch), p.DRAM)
-		cls := trace.ClassifyGrouped(prof.Traces, wg, layout, p.DRAM, p.MemAccessUnitBits/8)
+		cls := stream.Classified()
 
 		fmt.Printf("%s:\n", name)
 		fmt.Printf("  accesses/WI raw %.2f -> coalesced %.2f (f = %.1f)\n",

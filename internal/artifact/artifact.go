@@ -43,8 +43,10 @@ import (
 
 // Version is the record format version. Bump it whenever the Record
 // schema or the meaning of a field changes; old files then read as
-// misses and are rewritten on the next fill.
-const Version = 1
+// misses and are rewritten on the next fill. Version 2: float scalar
+// kernel arguments are bound as floats, so a record profiled under the
+// old integer binding is recomputed.
+const Version = 2
 
 // header is the first line of every artifact file. It carries the
 // format version so a truncated or foreign file is rejected before the

@@ -69,7 +69,13 @@ type Kernel struct {
 
 	Bufs    []Buf
 	Scalars map[string]int64
-	Defines map[string]string
+	// FloatScalars names the Scalars whose parameter is floating-point.
+	// Config binds each scalar by its parameter's type: these as floats,
+	// the rest as integers. Inline kernels fill it from the compiled
+	// parameters; a bundled kernel that omits one fails its launch with
+	// a type error instead of reading 0.
+	FloatScalars map[string]bool
+	Defines      map[string]string
 }
 
 // ID returns "bench/kernel".
@@ -194,7 +200,11 @@ func (k *Kernel) Config(wg int64) *interp.Config {
 		cfg.Buffers[b.Name] = makeBuf(b)
 	}
 	for name, v := range k.Scalars {
-		cfg.Scalars[name] = interp.IntVal(v)
+		if k.FloatScalars[name] {
+			cfg.Scalars[name] = interp.FloatVal(float64(v))
+		} else {
+			cfg.Scalars[name] = interp.IntVal(v)
+		}
 	}
 	return cfg
 }

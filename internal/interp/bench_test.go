@@ -1,46 +1,94 @@
 package interp_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/model"
 )
 
-// BenchmarkProfileStaticVsInterp times both profiler paths on a few
-// representative kernels (a bandwidth-bound one, a compute-heavy one,
-// and a 2-D stencil) at the prep pipeline's group budget. Run it on
-// demand with
+// BenchmarkProfileStaticVsInterp times both profiler paths the way prep
+// runs them: the first model.ProfileGroups groups of the launch, at each
+// kernel's largest WG size (the size a shared sweep executes). The
+// static cases stream to no sink, so they time the slice executor and
+// its sweep driver alone; static/corpus profiles every statically
+// analyzable bundled and generated kernel once per op. Run it on demand
+// with
 //
 //	go test -run '^$' -bench BenchmarkProfileStaticVsInterp ./internal/interp
 func BenchmarkProfileStaticVsInterp(b *testing.B) {
-	const groups = 8
 	for _, id := range []string{"backprop/layer", "gemm/gemm", "hotspot/hotspot"} {
 		k := bench.FindID(id)
 		if k == nil {
 			b.Fatalf("kernel %s not bundled", id)
 		}
-		f, err := k.Compile(k.MinWG)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ok, reason := interp.StaticAnalyzable(f); !ok {
+		l := compileLargest(b, k)
+		if ok, reason := interp.StaticAnalyzable(l.f); !ok {
 			b.Fatalf("%s not statically analyzable: %s", id, reason)
 		}
-		b.Run(fmt.Sprintf("static/%s", id), func(b *testing.B) {
+		b.Run("static/"+id, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := interp.StaticProfile(f, k.Config(k.MinWG), groups, true); err != nil {
+				l.profileStatic(b)
+			}
+		})
+		b.Run("interp/"+id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A fresh launch per run: the interpreter writes buffers.
+				b.StopTimer()
+				cfg := k.Config(l.wg)
+				b.StartTimer()
+				if _, err := interp.InterpProfile(l.f, cfg, model.ProfileGroups, false); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("interp/%s", id), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := interp.InterpProfile(f, k.Config(k.MinWG), groups, true); err != nil {
-					b.Fatal(err)
-				}
+	}
+	var corpus []launch
+	for _, k := range append(bench.All(), bench.GeneratedCorpus()...) {
+		l := compileLargest(b, k)
+		if ok, _ := interp.StaticAnalyzable(l.f); ok {
+			corpus = append(corpus, l)
+		}
+	}
+	b.Run("static/corpus", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, l := range corpus {
+				l.profileStatic(b)
 			}
-		})
+		}
+	})
+}
+
+// launch is one kernel compiled and bound at one WG size. The static
+// executor never writes buffers, so its runs share one binding.
+type launch struct {
+	id  string
+	wg  int64
+	f   *ir.Func
+	cfg *interp.Config
+}
+
+func compileLargest(b *testing.B, k *bench.Kernel) launch {
+	wgs := k.WGSizes()
+	wg := wgs[len(wgs)-1]
+	f, err := k.Compile(wg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return launch{id: k.ID(), wg: wg, f: f, cfg: k.Config(wg)}
+}
+
+func (l launch) profileStatic(b *testing.B) {
+	prof, err := interp.ProfileStream(l.f, l.cfg, model.ProfileGroups, nil)
+	if err != nil {
+		b.Fatalf("%s: %v", l.id, err)
+	}
+	if prof.Source != interp.SourceStatic {
+		b.Fatalf("%s: profiled by %s, not the static executor", l.id, prof.Source)
 	}
 }

@@ -13,6 +13,9 @@ import (
 // exec evaluates one non-terminator instruction.
 func (w *wiState) exec(in *ir.Instr) {
 	switch in.Op {
+	// Arithmetic, comparisons, selects and casts make values that fit
+	// their type by construction (see pureVal), so the interpreter
+	// evaluates them directly.
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
 		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr,
 		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
@@ -51,28 +54,8 @@ func (w *wiState) exec(in *ir.Instr) {
 		}
 		w.regs[in] = w.atomic(in, idx, operand)
 
-	case ir.OpCall:
-		w.regs[in] = w.builtin(in)
-
 	case ir.OpWorkItem:
 		w.regs[in] = IntVal(w.workItem(in.Fn, in.Dim))
-
-	case ir.OpVecBuild:
-		args := make([]Val, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = w.eval(a)
-		}
-		w.regs[in] = vecBuildVal(args)
-
-	case ir.OpVecExtract:
-		w.regs[in] = vecExtractVal(in, w.eval(in.Args[0]))
-
-	case ir.OpVecInsert:
-		args := make([]Val, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = w.eval(a)
-		}
-		w.regs[in] = vecInsertVal(in, args)
 
 	case ir.OpBarrier:
 		w.barriers++
@@ -81,8 +64,17 @@ func (w *wiState) exec(in *ir.Instr) {
 			panic(execError{errGroupAborted})
 		}
 
-	default:
-		w.fail("unsupported op %v", in.Op)
+	default: // calls and vector ops
+		args := w.args[:0]
+		for _, a := range in.Args {
+			args = append(args, w.eval(a))
+		}
+		w.args = args
+		v, err := pureVal(in, args)
+		if err != nil {
+			panic(execError{err})
+		}
+		w.regs[in] = v
 	}
 }
 
@@ -100,7 +92,9 @@ func lane(v Val, i int) Val {
 // The evaluators below are pure functions of (instruction, operand
 // values) shared by the work-item interpreter and the static-profile
 // plan executor, so the two paths cannot drift: one switch defines each
-// operation's semantics.
+// operation's semantics. The scalar helpers under them (intArith,
+// floatArith, compare and the casts) are what the executor's typed
+// steps call directly.
 
 func (w *wiState) arith(in *ir.Instr, a, b Val) Val {
 	v, err := arithVal(in, a, b)
@@ -108,6 +102,60 @@ func (w *wiState) arith(in *ir.Instr, a, b Val) Val {
 		panic(execError{err})
 	}
 	return v
+}
+
+// pureVal evaluates an instruction that touches no memory and no
+// work-item state over its evaluated operands (not retained). A scalar
+// result is fitted to the instruction's type, so it holds only the
+// field that type selects: the static executor's typed banks keep
+// exactly that field (see bankOf), and an evaluator that hands back an
+// operand of another type (max(int, float), a vector literal's lanes)
+// reads the same on both executors.
+func pureVal(in *ir.Instr, args []Val) (Val, error) {
+	var v Val
+	switch in.Op {
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr,
+		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
+		av, err := arithVal(in, args[0], args[1])
+		if err != nil {
+			return Val{}, err
+		}
+		v = av
+	case ir.OpICmp, ir.OpFCmp:
+		v = compareVal(in, args[0], args[1])
+	case ir.OpSelect:
+		v = selectVal(in, args[0], args[1], args[2])
+	case ir.OpCast:
+		v = castVal(args[0], in.Args[0].Type(), in.T)
+	case ir.OpCall:
+		bv, err := builtinVal(in, args)
+		if err != nil {
+			return Val{}, err
+		}
+		v = bv
+	case ir.OpVecBuild:
+		v = vecBuildVal(args)
+	case ir.OpVecExtract:
+		v = vecExtractVal(in, args[0])
+	case ir.OpVecInsert:
+		v = vecInsertVal(in, args)
+	default:
+		return Val{}, fmt.Errorf("interp: unsupported op %v", in.Op)
+	}
+	return fit(v, in.T), nil
+}
+
+// fit returns v as a value of type t holds it: a scalar keeps only the
+// field t selects, a vector is kept whole.
+func fit(v Val, t ast.Type) Val {
+	switch {
+	case t.IsVector():
+		return v
+	case t.Base.IsFloat():
+		return FloatVal(v.F)
+	}
+	return IntVal(v.I)
 }
 
 func arithVal(in *ir.Instr, a, b Val) (Val, error) {
@@ -128,12 +176,6 @@ func arithVal(in *ir.Instr, a, b Val) (Val, error) {
 
 func scalarArithVal(in *ir.Instr, a, b Val) (Val, error) {
 	switch in.Op {
-	case ir.OpAdd:
-		return IntVal(a.I + b.I), nil
-	case ir.OpSub:
-		return IntVal(a.I - b.I), nil
-	case ir.OpMul:
-		return IntVal(a.I * b.I), nil
 	case ir.OpDiv:
 		if b.I == 0 {
 			return Val{}, fmt.Errorf("interp: integer division by zero")
@@ -150,28 +192,50 @@ func scalarArithVal(in *ir.Instr, a, b Val) (Val, error) {
 			return IntVal(int64(uint64(a.I) % uint64(b.I))), nil
 		}
 		return IntVal(a.I % b.I), nil
-	case ir.OpAnd:
-		return IntVal(a.I & b.I), nil
-	case ir.OpOr:
-		return IntVal(a.I | b.I), nil
-	case ir.OpXor:
-		return IntVal(a.I ^ b.I), nil
-	case ir.OpShl:
-		return IntVal(a.I << uint(b.I&63)), nil
-	case ir.OpLShr:
-		return IntVal(int64(uint64(a.I) >> uint(b.I&63))), nil
-	case ir.OpAShr:
-		return IntVal(a.I >> uint(b.I&63)), nil
-	case ir.OpFAdd:
-		return FloatVal(a.F + b.F), nil
-	case ir.OpFSub:
-		return FloatVal(a.F - b.F), nil
-	case ir.OpFMul:
-		return FloatVal(a.F * b.F), nil
-	case ir.OpFDiv:
-		return FloatVal(a.F / b.F), nil
+	case ir.OpAdd, ir.OpSub, ir.OpMul,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr:
+		return IntVal(intArith(in.Op, a.I, b.I)), nil
+	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
+		return FloatVal(floatArith(in.Op, a.F, b.F)), nil
 	}
 	return Val{}, fmt.Errorf("interp: bad arith op %v", in.Op)
+}
+
+// intArith applies an integer operation without a fault path (every one
+// but Div and Rem): 64-bit, no width truncation.
+func intArith(op ir.Op, a, b int64) int64 {
+	switch op {
+	case ir.OpAdd:
+		return a + b
+	case ir.OpSub:
+		return a - b
+	case ir.OpMul:
+		return a * b
+	case ir.OpAnd:
+		return a & b
+	case ir.OpOr:
+		return a | b
+	case ir.OpXor:
+		return a ^ b
+	case ir.OpShl:
+		return a << uint(b&63)
+	case ir.OpLShr:
+		return int64(uint64(a) >> uint(b&63))
+	}
+	return a >> uint(b&63) // ir.OpAShr
+}
+
+// floatArith applies a float operation.
+func floatArith(op ir.Op, a, b float64) float64 {
+	switch op {
+	case ir.OpFAdd:
+		return a + b
+	case ir.OpFSub:
+		return a - b
+	case ir.OpFMul:
+		return a * b
+	}
+	return a / b // ir.OpFDiv
 }
 
 // selectVal implements OpSelect over evaluated operands.
@@ -228,42 +292,10 @@ func vecInsertVal(in *ir.Instr, args []Val) Val {
 
 func compareVal(in *ir.Instr, a, b Val) Val {
 	cmp := func(a, b Val) Val {
-		var r bool
 		if in.Op == ir.OpFCmp {
-			switch in.Pr {
-			case ir.PredEQ:
-				r = a.F == b.F
-			case ir.PredNE:
-				r = a.F != b.F
-			case ir.PredLT:
-				r = a.F < b.F
-			case ir.PredLE:
-				r = a.F <= b.F
-			case ir.PredGT:
-				r = a.F > b.F
-			case ir.PredGE:
-				r = a.F >= b.F
-			}
-		} else {
-			switch in.Pr {
-			case ir.PredEQ:
-				r = a.I == b.I
-			case ir.PredNE:
-				r = a.I != b.I
-			case ir.PredLT:
-				r = a.I < b.I
-			case ir.PredLE:
-				r = a.I <= b.I
-			case ir.PredGT:
-				r = a.I > b.I
-			case ir.PredGE:
-				r = a.I >= b.I
-			}
+			return IntVal(boolInt(compare(in.Pr, a.F, b.F)))
 		}
-		if r {
-			return IntVal(1)
-		}
-		return IntVal(0)
+		return IntVal(boolInt(compare(in.Pr, a.I, b.I)))
 	}
 	if in.T.IsVector() {
 		out := Val{Vec: make([]Val, in.T.Lanes())}
@@ -273,6 +305,33 @@ func compareVal(in *ir.Instr, a, b Val) Val {
 		return out
 	}
 	return cmp(a, b)
+}
+
+// compare evaluates a comparison predicate on integers or floats.
+func compare[T int64 | float64](pr ir.Pred, a, b T) bool {
+	switch pr {
+	case ir.PredEQ:
+		return a == b
+	case ir.PredNE:
+		return a != b
+	case ir.PredLT:
+		return a < b
+	case ir.PredLE:
+		return a <= b
+	case ir.PredGT:
+		return a > b
+	case ir.PredGE:
+		return a >= b
+	}
+	return false
+}
+
+// boolInt is a comparison's value: 1 or 0.
+func boolInt(r bool) int64 {
+	if r {
+		return 1
+	}
+	return 0
 }
 
 // castVal converts v from type 'from' to type 'to'.
@@ -288,19 +347,28 @@ func castVal(v Val, from, to ast.Type) Val {
 	}
 	switch {
 	case to.Base.IsFloat() && from.Base.IsFloat():
-		f := v.F
-		if to.Base == ast.KFloat {
-			f = float64(float32(f))
-		}
-		return FloatVal(f)
+		return FloatVal(floatToFloat(v.F, to.Base))
 	case to.Base.IsFloat():
-		return FloatVal(float64(v.I))
+		return FloatVal(intToFloat(v.I))
 	case from.Base.IsFloat():
-		return IntVal(truncInt(int64(v.F), to.Base))
+		return IntVal(floatToInt(v.F, to.Base))
 	default:
 		return IntVal(truncInt(v.I, to.Base))
 	}
 }
+
+// The scalar casts: to a float kind, and from a float to an integer
+// kind k (integer to integer is truncInt).
+func floatToFloat(f float64, k ast.BaseKind) float64 {
+	if k == ast.KFloat {
+		return float64(float32(f))
+	}
+	return f
+}
+
+func intToFloat(v int64) float64 { return float64(v) }
+
+func floatToInt(f float64, k ast.BaseKind) int64 { return truncInt(int64(f), k) }
 
 // truncInt wraps an integer to the width of kind k.
 func truncInt(v int64, k ast.BaseKind) int64 {
@@ -343,7 +411,7 @@ func (w *wiState) loadElem(store ir.Storage, idx int64, t ast.Type) Val {
 				Param: s, Index: idx, Bytes: t.ElemSize(), Write: false,
 			})
 		}
-		return readBuf(buf, base, lanes, t)
+		return readBuf(buf, base, lanes)
 	case *ir.Alloca:
 		cells := w.cells(s)
 		base := idx * lanes
@@ -428,12 +496,12 @@ func (w *wiState) cells(a *ir.Alloca) []Val {
 // memory model, so buffer cells are read and written with per-element
 // atomics: the winning value stays unspecified, exactly as in OpenCL,
 // but the execution is defined.
-func readBuf(b *Buffer, base, lanes int64, t ast.Type) Val {
+func readBuf(b *Buffer, base, lanes int64) Val {
 	get := func(i int64) Val {
 		if b.Elem.Base.IsFloat() {
-			return FloatVal(math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(&b.F[i])))))
+			return FloatVal(loadFloat(b, i))
 		}
-		return IntVal(atomic.LoadInt64(&b.I[i]))
+		return IntVal(loadInt(b, i))
 	}
 	if lanes == 1 {
 		return get(base)
@@ -443,6 +511,13 @@ func readBuf(b *Buffer, base, lanes int64, t ast.Type) Val {
 		out.Vec[i] = get(base + i)
 	}
 	return out
+}
+
+// loadInt and loadFloat read one cell of an integer or a float buffer.
+func loadInt(b *Buffer, i int64) int64 { return atomic.LoadInt64(&b.I[i]) }
+
+func loadFloat(b *Buffer, i int64) float64 {
+	return math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(&b.F[i]))))
 }
 
 func writeBuf(b *Buffer, base, lanes int64, v Val) {
@@ -577,18 +652,6 @@ func workItemVal(fn string, dim int, nd NDRange, group, local, global [3]int64) 
 		return 0, true
 	}
 	return 0, false
-}
-
-func (w *wiState) builtin(in *ir.Instr) Val {
-	args := make([]Val, len(in.Args))
-	for i, a := range in.Args {
-		args[i] = w.eval(a)
-	}
-	v, err := builtinVal(in, args)
-	if err != nil {
-		panic(execError{err})
-	}
-	return v
 }
 
 // knownBuiltins lists every builtin both executors evaluate; the static

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/interp/static"
@@ -169,41 +171,81 @@ func (p *Profile) Diff(q *Profile) string {
 
 // ---- static plan executor ----
 
-// Operand source kinds: where a step reads each operand from.
+// Register banks. Every value the slice reads sits in one bank, fixed
+// from its IR type when the plan compiles (bankOf): scalar integers,
+// bool included, in []int64, scalar floats in []float64 and vectors in
+// []Val. Each bank holds the slice's registers, then the cells of the
+// tracked allocas of its element type, then constant slots: IR
+// constants, launch scalars, NDRange-only work-item queries and the zero
+// a value the slice never computes reads as, filled once per executor.
+// Only registers and cells are reset per work-item.
+//
+// Exactness rests on one invariant: a typed slot holds exactly the field
+// of the interpreter's Val that the value's IR type selects (I for
+// integers, F for floats), and that Val's other field is zero, so the
+// slot read back as IntVal or FloatVal is the interpreter's Val bitwise.
+// IR constants meet it by construction; launch scalars and buffer
+// elements because validateArgs rejects a value that does not fit its
+// parameter's type; typed steps because they compute the selected field
+// with the interpreter's own scalar helpers; generic steps because
+// pureVal fits every scalar result to its type; and tracked cells
+// because irgen converts every stored value to its cell's type.
+// FuzzAffineAnalyzer's seeds cross every bank boundary.
 const (
-	srcZero uint8 = iota // value never computed by the slice (and never used)
-	srcImm               // immediate: IR constant or launch scalar, resolved at compile
-	srcReg               // slice register
+	bInt uint8 = iota
+	bFlt
+	bVal
 )
 
-// opSrc is one pre-resolved operand: immediates carry their value,
-// register operands their dense slot — the hot loop never touches a map
-// or a type switch to read an operand.
-type opSrc struct {
-	v    Val
-	reg  int32
-	kind uint8
+// bankOf is the bank of a value of type t.
+func bankOf(t ast.Type) uint8 {
+	switch {
+	case t.IsVector():
+		return bVal
+	case t.Base.IsFloat():
+		return bFlt
+	}
+	return bInt
 }
 
-// Step action kinds: the per-step dispatch is numeric, with the memory
-// target's storage class decided at compile time.
+// opSrc is one pre-resolved operand or result: a slot of one bank.
+type opSrc struct {
+	bank uint8
+	slot int32
+}
+
+// Step action kinds: the per-step dispatch is numeric, with each
+// operand's bank and the memory target's storage class decided at
+// compile time. Typed steps work on the int64/float64 slots of the banks
+// their kind names; the others move Vals through get and put.
 const (
-	aCompute uint8 = iota
-	aBarrier
-	aLoadParam
-	aLoadAlloca
+	aGeneric    uint8 = iota // put(dst, pureVal(in, get(args...)))
+	aBarrier                 // no synchronization: nothing in the slice crosses work-items
+	aWorkItem                // ints[dst] = the work-item query
+	aIntArith                // ints[dst] = intArith(op, ints[a], ints[b])
+	aFloatArith              // flts[dst] = floatArith(op, flts[a], flts[b])
+	aIntCmp                  // ints[dst] = compare(pr, ints[a], ints[b])
+	aFloatCmp                // ints[dst] = compare(pr, flts[a], flts[b])
+	aCastII                  // ints[dst] = truncInt(ints[a], kind)
+	aCastIF                  // flts[dst] = intToFloat(ints[a])
+	aCastFI                  // ints[dst] = floatToInt(flts[a], kind)
+	aCastFF                  // flts[dst] = floatToFloat(flts[a], kind)
+
+	// Memory steps index with ints[a]. A tracked alloca's cells are
+	// slots mem.cell.slot onwards of bank mem.cell.bank.
+	aLoadParam     // ints or flts[dst] = the buffer cell
+	aLoadParamVal  // put(dst, readBuf(...)): vector loads
+	aLoadAlloca    // bank[dst] = bank[cell]: a scalar cell of dst's bank
+	aLoadAllocaVal // put(dst, the cells' Val): vector cells
 	aStoreParam
-	aStoreAlloca
+	aStoreAlloca    // bank[cell] = bank[b]: a scalar cell of the value's bank
+	aStoreAllocaVal // the lanes of get(val) put into the cells
 	aAtomicParam
 	aAtomicAlloca
-	aWorkItem
-	aIntArith   // scalar integer arithmetic without a fault path
-	aFloatArith // scalar float arithmetic
-	aCmp        // scalar comparison
 )
 
 // Work-item query kinds. Queries that depend only on the NDRange fold
-// to immediates at compile time (wiConst).
+// to a constant slot at compile time (wiConst reads ints[a]).
 const (
 	wiGlobalID uint8 = iota
 	wiLocalID
@@ -211,28 +253,34 @@ const (
 	wiConst
 )
 
-// planStep is one pre-resolved executor step.
+// planStep is one pre-resolved executor step, 64 bytes, so a typed step
+// reads one cache line. Every non-memory step is in the slice because
+// the slice needs its value, so it has a dst; a memory step's dst.slot
+// is -1 when the slice never reads the value.
 type planStep struct {
-	in   *ir.Instr
-	args []opSrc
-	reg  int32 // result register, -1 when the value is not in the slice
+	act  uint8
+	op   uint8 // typed arithmetic's ir.Op
+	pr   uint8 // typed comparison's ir.Pred
+	kind uint8 // typed cast's target ast.BaseKind
+	wi   uint8 // aWorkItem's query kind
+	dim  uint8 // aWorkItem's dimension
+	a, b int32 // typed operand slots, in the banks act implies
+	dst  opSrc
 
-	// Memory access pre-resolution (aLoad*/aStore*/aAtomic*).
+	in   *ir.Instr // generic evaluation and fault messages
+	args []opSrc   // generic step's operands
+	mem  *memStep  // memory step's target
+}
+
+// memStep is a memory step's pre-resolved target.
+type memStep struct {
 	prm   *ir.Param // access target for the trace
 	buf   *Buffer   // bound buffer (param accesses)
-	cells []Val     // tracked alloca contents (nil: bounds-check only)
-	count int64     // alloca cell count
+	cell  opSrc     // first cell of a tracked alloca (slot -1: untracked)
+	val   opSrc     // aStoreAllocaVal's value
+	n     int64     // scalar cells of the target
 	lanes int64     // element lanes of the access
 	bytes int       // traced bytes of the access
-
-	// Work-item query pre-resolution (aWorkItem).
-	wi    uint8
-	dim   int
-	wiVal int64 // immediate for wiConst
-
-	castFrom ast.Type // source type of an OpCast
-
-	act uint8
 }
 
 // Terminator kinds.
@@ -258,15 +306,17 @@ type blockPlan struct {
 // sweep (see sweep.go); all mutable state is reset per work-item.
 type planExec struct {
 	plan  *static.Plan
-	cfg   *Config
-	nd    NDRange
 	entry *blockPlan
 
 	group, local, global [3]int64
 
-	regs    []Val
-	tracked [][]Val // cell slices, for the per-work-item reset
-	counts  []int64 // per-block visit counts of the current work-item
+	ints  []int64
+	flts  []float64
+	vals  []Val
+	reset [3]int32 // per bank, the register and cell slots before the constants
+	args  []Val    // generic step's operand scratch
+
+	counts []int64 // per-block visit counts of the current work-item
 
 	// accesses collects the global accesses of the chunk being executed,
 	// its work-items back to back; the sweep owns the buffer.
@@ -276,20 +326,54 @@ type planExec struct {
 	steps    int64
 }
 
-func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
-	x := &planExec{
-		plan:   p,
-		cfg:    cfg,
-		nd:     nd,
-		regs:   make([]Val, p.NumRegs),
-		counts: make([]int64, len(p.Fn.Blocks)),
+// planCompiler lays out one executor's banks and compiles its steps.
+type planCompiler struct {
+	p    *static.Plan
+	cfg  *Config
+	nd   NDRange
+	size [3]int64 // slots allocated per bank
+
+	regs   []opSrc // by static.Plan.RegIndex
+	cells  map[*ir.Alloca]opSrc
+	intK   map[int64]opSrc
+	fltK   map[uint64]opSrc // by bits
+	consts []constSlot
+	mems   []memStep // every memory step's target, allocated at once
+	srcs   []opSrc   // operand scratch
+}
+
+type constSlot struct {
+	at opSrc
+	v  Val
+}
+
+func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) (*planExec, error) {
+	c := &planCompiler{
+		p: p, cfg: cfg, nd: nd,
+		regs:  make([]opSrc, p.NumRegs),
+		cells: make(map[*ir.Alloca]opSrc, len(p.TrackedAllocas)),
+		intK:  make(map[int64]opSrc),
+		fltK:  make(map[uint64]opSrc),
 	}
-	cells := make(map[*ir.Alloca][]Val, len(p.TrackedAllocas))
-	for a := range p.TrackedAllocas {
-		c := make([]Val, a.Count*int64(a.Elem.Lanes()))
-		cells[a] = c
-		x.tracked = append(x.tracked, c)
+	// Registers, then tracked cells: the slots reset per work-item.
+	nmem := 0
+	for _, b := range p.Fn.Blocks {
+		for _, in := range p.Steps[b] {
+			if ri, ok := p.RegIndex[in]; ok {
+				c.regs[ri] = c.alloc(bankOf(in.T), 1)
+			}
+			if in.Op.IsMemAccess() {
+				nmem++
+			}
+		}
 	}
+	c.mems = make([]memStep, 0, nmem)
+	for _, a := range p.Fn.Allocas {
+		if p.TrackedAllocas[a] {
+			c.cells[a] = c.alloc(bankOf(a.Elem), a.Count*int64(a.Elem.Lanes()))
+		}
+	}
+	reset := c.size
 
 	// Two passes: allocate every block plan first so branch targets can
 	// link directly.
@@ -306,104 +390,115 @@ func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) *planExec {
 					bp.term, bp.to = tBr, plans[in.To]
 				case ir.OpCondBr:
 					bp.term, bp.to, bp.els = tCondBr, plans[in.To], plans[in.Else]
-					bp.cond = x.compileSrc(in.Args[0])
+					bp.cond = c.src(in.Args[0])
 				case ir.OpRet:
 					bp.term = tRet
 				}
 				continue
 			}
-			bp.steps = append(bp.steps, x.compileStep(in, cells))
+			bp.steps = append(bp.steps, c.step(in))
 		}
 	}
-	x.entry = plans[p.Fn.Entry()]
-	return x
+	for _, n := range c.size {
+		if n > math.MaxInt32 {
+			return nil, fmt.Errorf("interp: static executor: %d register and cell slots exceed its slot range", n)
+		}
+	}
+
+	x := &planExec{
+		plan:   p,
+		entry:  plans[p.Fn.Entry()],
+		ints:   make([]int64, c.size[bInt]),
+		flts:   make([]float64, c.size[bFlt]),
+		vals:   make([]Val, c.size[bVal]),
+		reset:  [3]int32{int32(reset[bInt]), int32(reset[bFlt]), int32(reset[bVal])},
+		counts: make([]int64, len(p.Fn.Blocks)),
+	}
+	for _, k := range c.consts {
+		x.put(k.at, k.v)
+	}
+	return x, nil
 }
 
-// compileSrc resolves one operand to its source.
-func (x *planExec) compileSrc(v ir.Value) opSrc {
+// alloc reserves n consecutive slots of bank and returns the first.
+// Sizes past the int32 slot range fail newPlanExec before any use.
+func (c *planCompiler) alloc(bank uint8, n int64) opSrc {
+	s := opSrc{bank: bank, slot: int32(c.size[bank])}
+	c.size[bank] += n
+	return s
+}
+
+// constant returns a slot holding v as a value of type t holds it, one
+// slot per distinct scalar.
+func (c *planCompiler) constant(t ast.Type, v Val) opSrc {
+	var s opSrc
+	switch bank := bankOf(t); bank {
+	case bInt:
+		if k, ok := c.intK[v.I]; ok {
+			return k
+		}
+		s = c.alloc(bank, 1)
+		c.intK[v.I] = s
+	case bFlt:
+		if k, ok := c.fltK[math.Float64bits(v.F)]; ok {
+			return k
+		}
+		s = c.alloc(bank, 1)
+		c.fltK[math.Float64bits(v.F)] = s
+	default:
+		s = c.alloc(bank, 1)
+	}
+	c.consts = append(c.consts, constSlot{at: s, v: v})
+	return s
+}
+
+// src resolves one operand to its slot.
+func (c *planCompiler) src(v ir.Value) opSrc {
 	switch t := v.(type) {
 	case *ir.Const:
 		if t.T.Base.IsFloat() {
-			return opSrc{kind: srcImm, v: FloatVal(t.F)}
+			return c.constant(t.T, FloatVal(t.F))
 		}
-		return opSrc{kind: srcImm, v: IntVal(t.I)}
+		return c.constant(t.T, IntVal(t.I))
 	case *ir.Param:
-		return opSrc{kind: srcImm, v: x.cfg.Scalars[t.PName]} // presence validated up front
+		return c.constant(t.T, c.cfg.Scalars[t.PName]) // validated up front
 	case *ir.Instr:
-		if ri, ok := x.plan.RegIndex[t]; ok {
-			return opSrc{kind: srcReg, reg: int32(ri)}
+		if ri, ok := c.p.RegIndex[t]; ok {
+			return c.regs[ri]
 		}
 	}
-	return opSrc{kind: srcZero}
+	// Outside the slice: no step reads it, since the analyzer puts every
+	// operand of a needed instruction in the slice.
+	return c.constant(v.Type(), Val{})
 }
 
-// compileStep pre-resolves one non-terminator step.
-func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planStep {
-	st := planStep{in: in, reg: -1, act: aCompute}
-	if ri, ok := x.plan.RegIndex[in]; ok {
-		st.reg = int32(ri)
+// index resolves a memory access's index to an int slot. irgen converts
+// every index to long; an index of any other type would read as the
+// interpreter's Val.I of it, zero by the slot invariant.
+func (c *planCompiler) index(v ir.Value) int32 {
+	s := c.src(v)
+	if s.bank != bInt {
+		s = c.constant(ast.Scalar(ast.KLong), Val{})
 	}
-	st.args = make([]opSrc, len(in.Args))
-	for i, a := range in.Args {
-		st.args[i] = x.compileSrc(a)
+	return s.slot
+}
+
+// step pre-resolves one non-terminator step: a typed step when its
+// operands and result sit in the banks the operation works on, else a
+// generic one.
+func (c *planCompiler) step(in *ir.Instr) planStep {
+	st := planStep{act: aGeneric, in: in, dst: opSrc{slot: -1}}
+	if ri, ok := c.p.RegIndex[in]; ok {
+		st.dst = c.regs[ri]
 	}
 	switch in.Op {
 	case ir.OpBarrier:
 		st.act = aBarrier
-	case ir.OpAdd, ir.OpSub, ir.OpMul,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr:
-		// Scalar integer ops have no fault path (Div/Rem stay on the
-		// generic path for their division-by-zero errors) and dominate
-		// address arithmetic — worth an inline fast path.
-		if !in.T.IsVector() {
-			st.act = aIntArith
-		}
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		if !in.T.IsVector() {
-			st.act = aFloatArith
-		}
-	case ir.OpICmp, ir.OpFCmp:
-		if !in.T.IsVector() {
-			st.act = aCmp
-		}
-	case ir.OpCast:
-		st.castFrom = in.Args[0].Type()
-	case ir.OpLoad:
-		st.lanes = int64(in.T.Lanes())
-		st.bytes = in.T.ElemSize()
-		switch s := in.Mem.(type) {
-		case *ir.Param:
-			st.act, st.prm, st.buf = aLoadParam, s, x.cfg.Buffers[s.PName]
-		case *ir.Alloca:
-			st.act, st.count = aLoadAlloca, s.Count
-			st.cells = cells[s]
-		}
-	case ir.OpStore:
-		switch s := in.Mem.(type) {
-		case *ir.Param:
-			t := s.Elem()
-			st.act, st.prm, st.buf = aStoreParam, s, x.cfg.Buffers[s.PName]
-			st.lanes, st.bytes = int64(t.Lanes()), t.ElemSize()
-		case *ir.Alloca:
-			st.act, st.count = aStoreAlloca, s.Count
-			st.lanes = int64(s.Elem.Lanes())
-			st.cells = cells[s]
-		}
-	case ir.OpAtomic:
-		switch s := in.Mem.(type) {
-		case *ir.Param:
-			t := s.Elem()
-			st.act, st.prm, st.buf = aAtomicParam, s, x.cfg.Buffers[s.PName]
-			st.lanes, st.bytes = int64(t.Lanes()), t.ElemSize()
-		case *ir.Alloca:
-			st.act, st.count = aAtomicAlloca, s.Count
-			st.lanes = int64(s.Elem.Lanes())
-		}
+		return st
 	case ir.OpWorkItem:
 		st.act = aWorkItem
-		st.dim = in.Dim
-		if st.dim < 0 || st.dim > 2 {
-			st.dim = 0
+		if in.Dim >= 0 && in.Dim <= 2 {
+			st.dim = uint8(in.Dim)
 		}
 		switch in.Fn {
 		case "get_global_id":
@@ -413,12 +508,131 @@ func (x *planExec) compileStep(in *ir.Instr, cells map[*ir.Alloca][]Val) planSte
 		case "get_group_id":
 			st.wi = wiGroupID
 		default:
-			// NDRange-only queries are launch constants.
-			n, _ := workItemVal(in.Fn, in.Dim, x.nd, [3]int64{}, [3]int64{}, [3]int64{})
-			st.wi, st.wiVal = wiConst, n
+			// NDRange-only queries are launch constants, read from ints[a].
+			n, _ := workItemVal(in.Fn, in.Dim, c.nd, [3]int64{}, [3]int64{}, [3]int64{})
+			st.wi, st.a = wiConst, c.constant(in.T, IntVal(n)).slot
+		}
+		return st
+	case ir.OpLoad, ir.OpStore, ir.OpAtomic:
+		c.memStep(in, &st)
+		return st
+	}
+
+	args := c.srcs[:0]
+	for _, a := range in.Args {
+		args = append(args, c.src(a))
+	}
+	c.srcs = args
+	typed := func(res, opd uint8) bool {
+		if st.dst.bank != res || len(args) == 0 {
+			return false
+		}
+		for _, a := range args {
+			if a.bank != opd {
+				return false
+			}
+		}
+		return true
+	}
+	switch in.Op {
+	case ir.OpAdd, ir.OpSub, ir.OpMul,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr:
+		if typed(bInt, bInt) {
+			st.act, st.op = aIntArith, uint8(in.Op)
+		}
+	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
+		if typed(bFlt, bFlt) {
+			st.act, st.op = aFloatArith, uint8(in.Op)
+		}
+	case ir.OpICmp:
+		if typed(bInt, bInt) {
+			st.act, st.pr = aIntCmp, uint8(in.Pr)
+		}
+	case ir.OpFCmp:
+		if typed(bInt, bFlt) {
+			st.act, st.pr = aFloatCmp, uint8(in.Pr)
+		}
+	case ir.OpCast:
+		switch {
+		case typed(bInt, bInt):
+			st.act = aCastII
+		case typed(bFlt, bInt):
+			st.act = aCastIF
+		case typed(bInt, bFlt):
+			st.act = aCastFI
+		case typed(bFlt, bFlt):
+			st.act = aCastFF
+		}
+		st.kind = uint8(in.T.Base)
+	}
+	if st.act == aGeneric {
+		st.args = slices.Clone(args)
+	} else {
+		st.a = args[0].slot
+		if len(args) > 1 {
+			st.b = args[1].slot
 		}
 	}
 	return st
+}
+
+// memStep pre-resolves a load, store or atomic: its index, bounds and
+// trace record, and the bank a tracked alloca's value moves through.
+func (c *planCompiler) memStep(in *ir.Instr, st *planStep) {
+	st.a = c.index(in.Args[0])
+	c.mems = append(c.mems, memStep{cell: opSrc{slot: -1}})
+	m := &c.mems[len(c.mems)-1]
+	st.mem = m
+	// A load moves an element of its own type, a store or an atomic one
+	// of its target's.
+	elem := in.T
+	switch s := in.Mem.(type) {
+	case *ir.Param:
+		if in.Op != ir.OpLoad {
+			elem = s.Elem()
+		}
+		m.lanes, m.bytes = int64(elem.Lanes()), elem.ElemSize()
+		m.prm, m.buf = s, c.cfg.Buffers[s.PName]
+		m.n = int64(m.buf.Len())
+		switch in.Op {
+		case ir.OpLoad:
+			st.act = aLoadParamVal
+			if st.dst.bank != bVal && (st.dst.bank == bFlt) == m.buf.Elem.Base.IsFloat() {
+				st.act = aLoadParam
+			}
+		case ir.OpStore:
+			st.act = aStoreParam
+		default:
+			st.act = aAtomicParam
+		}
+	case *ir.Alloca:
+		if in.Op != ir.OpLoad {
+			elem = s.Elem
+		}
+		m.lanes = int64(elem.Lanes())
+		m.n = s.Count * int64(s.Elem.Lanes())
+		if cell, ok := c.cells[s]; ok {
+			m.cell = cell
+		}
+		switch in.Op {
+		case ir.OpLoad:
+			st.act = aLoadAllocaVal
+			if st.dst.bank != bVal && st.dst.bank == m.cell.bank {
+				st.act = aLoadAlloca
+			}
+		case ir.OpStore:
+			st.act = aStoreAlloca
+			if m.cell.slot >= 0 { // tracked: contents modelled exactly
+				m.val = c.src(in.Args[1])
+				st.b = m.val.slot
+				if m.val.bank == bVal || m.val.bank != m.cell.bank {
+					st.act = aStoreAllocaVal
+				}
+			}
+		default:
+			st.act = aAtomicAlloca
+		}
+	}
 }
 
 // runPlan profiles one launch with the static slice executor: a sweep
@@ -431,23 +645,41 @@ func runPlan(p *static.Plan, cfg *Config, sample groupSample, sink GroupSink) (*
 	return profs[0], nil
 }
 
+// get reads a slot as the interpreter's Val.
+func (x *planExec) get(s opSrc) Val {
+	switch s.bank {
+	case bInt:
+		return IntVal(x.ints[s.slot])
+	case bFlt:
+		return FloatVal(x.flts[s.slot])
+	}
+	return x.vals[s.slot]
+}
+
+// put writes v to a slot, keeping the field the slot's bank holds (v
+// fits it by the slot invariant).
+func (x *planExec) put(s opSrc, v Val) {
+	switch s.bank {
+	case bInt:
+		x.ints[s.slot] = v.I
+	case bFlt:
+		x.flts[s.slot] = v.F
+	default:
+		x.vals[s.slot] = v
+	}
+}
+
 // runWI executes the slice for one work-item, appending its global
 // accesses to x.accesses.
 func (x *planExec) runWI() error {
-	for i := range x.regs {
-		x.regs[i] = Val{}
-	}
-	for _, cells := range x.tracked {
-		for i := range cells {
-			cells[i] = Val{}
-		}
-	}
-	for i := range x.counts {
-		x.counts[i] = 0
-	}
+	clear(x.ints[:x.reset[bInt]])
+	clear(x.flts[:x.reset[bFlt]])
+	clear(x.vals[:x.reset[bVal]])
+	clear(x.counts)
 	x.barriers = 0
 	x.steps = 0
 
+	ints, flts := x.ints, x.flts
 	bp := x.entry
 	for {
 		x.counts[bp.idx]++
@@ -456,15 +688,121 @@ func (x *planExec) runWI() error {
 			return fmt.Errorf("interp: work-item exceeded %d steps (infinite loop?)", profStepLimit)
 		}
 		for i := range bp.steps {
-			if err := x.step(&bp.steps[i]); err != nil {
-				return err
+			st := &bp.steps[i]
+			switch st.act {
+			case aIntArith:
+				ints[st.dst.slot] = intArith(ir.Op(st.op), ints[st.a], ints[st.b])
+			case aFloatArith:
+				flts[st.dst.slot] = floatArith(ir.Op(st.op), flts[st.a], flts[st.b])
+			case aIntCmp:
+				ints[st.dst.slot] = boolInt(compare(ir.Pred(st.pr), ints[st.a], ints[st.b]))
+			case aFloatCmp:
+				ints[st.dst.slot] = boolInt(compare(ir.Pred(st.pr), flts[st.a], flts[st.b]))
+			case aCastII:
+				ints[st.dst.slot] = truncInt(ints[st.a], ast.BaseKind(st.kind))
+			case aCastIF:
+				flts[st.dst.slot] = intToFloat(ints[st.a])
+			case aCastFI:
+				ints[st.dst.slot] = floatToInt(flts[st.a], ast.BaseKind(st.kind))
+			case aCastFF:
+				flts[st.dst.slot] = floatToFloat(flts[st.a], ast.BaseKind(st.kind))
+			case aWorkItem:
+				switch st.wi {
+				case wiGlobalID:
+					ints[st.dst.slot] = x.global[st.dim]
+				case wiLocalID:
+					ints[st.dst.slot] = x.local[st.dim]
+				case wiGroupID:
+					ints[st.dst.slot] = x.group[st.dim]
+				default:
+					ints[st.dst.slot] = ints[st.a]
+				}
+			case aBarrier:
+				x.barriers++
+			case aGeneric:
+				args := x.args[:0]
+				for _, s := range st.args {
+					args = append(args, x.get(s))
+				}
+				x.args = args
+				v, err := pureVal(st.in, args)
+				if err != nil {
+					return err
+				}
+				x.put(st.dst, v)
+			default:
+				// A memory step: the interpreter's bounds check, the trace
+				// record of a global access, a tracked alloca's contents.
+				// Global buffers are never written: no statically
+				// analyzable kernel reads back what it wrote (that is the
+				// analyzability criterion), so a store or an atomic only
+				// traces and bounds-checks.
+				m := st.mem
+				idx := ints[st.a]
+				base := idx * m.lanes
+				if base < 0 || base+m.lanes > m.n {
+					return outOfBounds(st, idx)
+				}
+				switch st.act {
+				case aLoadParam:
+					x.accesses = append(x.accesses, Access{Param: m.prm, Index: idx, Bytes: m.bytes})
+					if st.dst.slot >= 0 {
+						if st.dst.bank == bFlt {
+							flts[st.dst.slot] = loadFloat(m.buf, base)
+						} else {
+							ints[st.dst.slot] = loadInt(m.buf, base)
+						}
+					}
+				case aLoadParamVal:
+					x.accesses = append(x.accesses, Access{Param: m.prm, Index: idx, Bytes: m.bytes})
+					if st.dst.slot >= 0 {
+						x.put(st.dst, readBuf(m.buf, base, m.lanes))
+					}
+				case aLoadAlloca:
+					if st.dst.slot >= 0 {
+						at := int64(m.cell.slot) + base
+						if st.dst.bank == bFlt {
+							flts[st.dst.slot] = flts[at]
+						} else {
+							ints[st.dst.slot] = ints[at]
+						}
+					}
+				case aLoadAllocaVal:
+					if st.dst.slot >= 0 {
+						x.put(st.dst, x.cellsVal(m.cell, base, m.lanes))
+					}
+				case aStoreParam:
+					x.accesses = append(x.accesses, Access{Param: m.prm, Index: idx, Bytes: m.bytes, Write: true})
+				case aStoreAlloca:
+					if m.cell.slot >= 0 {
+						at := int64(m.cell.slot) + base
+						if m.cell.bank == bFlt {
+							flts[at] = flts[st.b]
+						} else {
+							ints[at] = ints[st.b]
+						}
+					}
+				case aStoreAllocaVal:
+					v := x.get(m.val)
+					for i := int64(0); i < m.lanes; i++ {
+						x.put(opSrc{bank: m.cell.bank, slot: m.cell.slot + int32(base+i)}, lane(v, int(i)))
+					}
+				case aAtomicParam:
+					// An atomic whose result the slice never consumes (the
+					// analyzer declines otherwise): trace the
+					// read-modify-write pair, leave the cell alone — its
+					// value can only feed data computation.
+					x.accesses = append(x.accesses,
+						Access{Param: m.prm, Index: idx, Bytes: m.bytes, Write: false},
+						Access{Param: m.prm, Index: idx, Bytes: m.bytes, Write: true})
+				}
 			}
 		}
 		switch bp.term {
 		case tBr:
 			bp = bp.to
 		case tCondBr:
-			if truthy(x.src(bp.cond)) {
+			if truthy(x.get(bp.cond)) {
 				bp = bp.to
 			} else {
 				bp = bp.els
@@ -475,275 +813,26 @@ func (x *planExec) runWI() error {
 	}
 }
 
-// src reads one pre-resolved operand.
-func (x *planExec) src(s opSrc) Val {
-	if s.kind == srcReg {
-		return x.regs[s.reg]
-	}
-	return s.v
-}
-
-// step executes one non-terminator slice step.
-func (x *planExec) step(st *planStep) error {
-	switch st.act {
-	case aBarrier:
-		// No synchronization: nothing in the slice crosses work-items.
-		x.barriers++
-		return nil
-	case aWorkItem:
-		if st.reg >= 0 {
-			var n int64
-			switch st.wi {
-			case wiGlobalID:
-				n = x.global[st.dim]
-			case wiLocalID:
-				n = x.local[st.dim]
-			case wiGroupID:
-				n = x.group[st.dim]
-			default:
-				n = st.wiVal
-			}
-			x.regs[st.reg] = IntVal(n)
-		}
-		return nil
-	case aIntArith:
-		// Mirrors scalarArithVal's integer cases exactly (64-bit, no
-		// width truncation) minus the call and error plumbing.
-		a, b := x.src(st.args[0]), x.src(st.args[1])
-		var n int64
-		switch st.in.Op {
-		case ir.OpAdd:
-			n = a.I + b.I
-		case ir.OpSub:
-			n = a.I - b.I
-		case ir.OpMul:
-			n = a.I * b.I
-		case ir.OpAnd:
-			n = a.I & b.I
-		case ir.OpOr:
-			n = a.I | b.I
-		case ir.OpXor:
-			n = a.I ^ b.I
-		case ir.OpShl:
-			n = a.I << uint(b.I&63)
-		case ir.OpLShr:
-			n = int64(uint64(a.I) >> uint(b.I&63))
-		default: // ir.OpAShr
-			n = a.I >> uint(b.I&63)
-		}
-		if st.reg >= 0 {
-			x.regs[st.reg] = IntVal(n)
-		}
-		return nil
-	case aFloatArith:
-		a, b := x.src(st.args[0]), x.src(st.args[1])
-		var f float64
-		switch st.in.Op {
-		case ir.OpFAdd:
-			f = a.F + b.F
-		case ir.OpFSub:
-			f = a.F - b.F
-		case ir.OpFMul:
-			f = a.F * b.F
-		default: // ir.OpFDiv
-			f = a.F / b.F
-		}
-		if st.reg >= 0 {
-			x.regs[st.reg] = FloatVal(f)
-		}
-		return nil
-	case aCmp:
-		// Mirrors compareVal's scalar path exactly.
-		if st.reg >= 0 {
-			a, b := x.src(st.args[0]), x.src(st.args[1])
-			var r bool
-			if st.in.Op == ir.OpFCmp {
-				switch st.in.Pr {
-				case ir.PredEQ:
-					r = a.F == b.F
-				case ir.PredNE:
-					r = a.F != b.F
-				case ir.PredLT:
-					r = a.F < b.F
-				case ir.PredLE:
-					r = a.F <= b.F
-				case ir.PredGT:
-					r = a.F > b.F
-				case ir.PredGE:
-					r = a.F >= b.F
-				}
-			} else {
-				switch st.in.Pr {
-				case ir.PredEQ:
-					r = a.I == b.I
-				case ir.PredNE:
-					r = a.I != b.I
-				case ir.PredLT:
-					r = a.I < b.I
-				case ir.PredLE:
-					r = a.I <= b.I
-				case ir.PredGT:
-					r = a.I > b.I
-				case ir.PredGE:
-					r = a.I >= b.I
-				}
-			}
-			if r {
-				x.regs[st.reg] = IntVal(1)
-			} else {
-				x.regs[st.reg] = IntVal(0)
-			}
-		}
-		return nil
-	case aLoadParam:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		if base < 0 || base+st.lanes > int64(st.buf.Len()) {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
-		}
-		x.accesses = append(x.accesses, Access{
-			Param: st.prm, Index: idx, Bytes: st.bytes, Write: false,
-		})
-		if st.reg >= 0 {
-			x.regs[st.reg] = readBufPlain(st.buf, base, st.lanes)
-		}
-		return nil
-	case aLoadAlloca:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		want := st.count * st.lanes
-		if base < 0 || base+st.lanes > want {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.in.Mem.(*ir.Alloca).AName, idx, st.count)
-		}
-		if st.reg >= 0 {
-			if st.lanes == 1 {
-				x.regs[st.reg] = st.cells[base]
-			} else {
-				out := Val{Vec: make([]Val, st.lanes)}
-				copy(out.Vec, st.cells[base:base+st.lanes])
-				x.regs[st.reg] = out
-			}
-		}
-		return nil
-	case aStoreParam:
-		// Global buffers are left untouched — no statically analyzable
-		// kernel reads back what it wrote (that is the analyzability
-		// criterion) — so the store only traces and bounds-checks.
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		if base < 0 || base+st.lanes > int64(st.buf.Len()) {
-			return fmt.Errorf("interp: store out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
-		}
-		x.accesses = append(x.accesses, Access{
-			Param: st.prm, Index: idx, Bytes: st.bytes, Write: true,
-		})
-		return nil
-	case aStoreAlloca:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		want := st.count * st.lanes
-		if base < 0 || base+st.lanes > want {
-			return fmt.Errorf("interp: store out of bounds: %s[%d] (len %d)", st.in.Mem.(*ir.Alloca).AName, idx, st.count)
-		}
-		if st.cells != nil { // tracked: contents modelled exactly
-			v := x.src(st.args[1])
-			if st.lanes == 1 {
-				st.cells[base] = v
-			} else {
-				for i := int64(0); i < st.lanes; i++ {
-					st.cells[base+i] = lane(v, int(i))
-				}
-			}
-		}
-		return nil
-	case aAtomicParam:
-		// An atomic whose result the slice never consumes (the analyzer
-		// declines otherwise): trace the read-modify-write pair, leave
-		// the cell alone — its value can only feed data computation.
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		if base < 0 || base+st.lanes > int64(st.buf.Len()) {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.prm.PName, idx, st.buf.Len()/int(st.lanes))
-		}
-		x.accesses = append(x.accesses,
-			Access{Param: st.prm, Index: idx, Bytes: st.bytes, Write: false},
-			Access{Param: st.prm, Index: idx, Bytes: st.bytes, Write: true})
-		return nil
-	case aAtomicAlloca:
-		idx := x.src(st.args[0]).I
-		base := idx * st.lanes
-		want := st.count * st.lanes
-		if base < 0 || base+st.lanes > want {
-			return fmt.Errorf("interp: load out of bounds: %s[%d] (len %d)", st.in.Mem.(*ir.Alloca).AName, idx, st.count)
-		}
-		return nil
-	}
-
-	// The remaining steps are needed pure computations.
-	in := st.in
-	var v Val
-	switch in.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr,
-		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		av, err := arithVal(in, x.src(st.args[0]), x.src(st.args[1]))
-		if err != nil {
-			return err
-		}
-		v = av
-	case ir.OpICmp, ir.OpFCmp:
-		v = compareVal(in, x.src(st.args[0]), x.src(st.args[1]))
-	case ir.OpSelect:
-		v = selectVal(in, x.src(st.args[0]), x.src(st.args[1]), x.src(st.args[2]))
-	case ir.OpCast:
-		v = castVal(x.src(st.args[0]), st.castFrom, in.T)
-	case ir.OpCall:
-		args := make([]Val, len(st.args))
-		for i := range st.args {
-			args[i] = x.src(st.args[i])
-		}
-		bv, err := builtinVal(in, args)
-		if err != nil {
-			return err
-		}
-		v = bv
-	case ir.OpVecBuild:
-		args := make([]Val, len(st.args))
-		for i := range st.args {
-			args[i] = x.src(st.args[i])
-		}
-		v = vecBuildVal(args)
-	case ir.OpVecExtract:
-		v = vecExtractVal(in, x.src(st.args[0]))
-	case ir.OpVecInsert:
-		args := make([]Val, len(st.args))
-		for i := range st.args {
-			args[i] = x.src(st.args[i])
-		}
-		v = vecInsertVal(in, args)
-	default:
-		return fmt.Errorf("interp: static executor met unplanned op %v", in.Op)
-	}
-	if st.reg >= 0 {
-		x.regs[st.reg] = v
-	}
-	return nil
-}
-
-// readBufPlain mirrors readBuf without per-element atomics.
-func readBufPlain(b *Buffer, base, lanes int64) Val {
-	get := func(i int64) Val {
-		if b.Elem.Base.IsFloat() {
-			return FloatVal(b.F[i])
-		}
-		return IntVal(b.I[i])
-	}
+// cellsVal reads lanes cells from cell+base as the interpreter's Val.
+func (x *planExec) cellsVal(cell opSrc, base, lanes int64) Val {
+	cell.slot += int32(base)
 	if lanes == 1 {
-		return get(base)
+		return x.get(cell)
 	}
 	out := Val{Vec: make([]Val, lanes)}
-	for i := int64(0); i < lanes; i++ {
-		out.Vec[i] = get(base + i)
+	for i := range out.Vec {
+		out.Vec[i] = x.get(cell)
+		cell.slot++
 	}
 	return out
+}
+
+// outOfBounds is the interpreter's error for memory step st at index
+// idx.
+func outOfBounds(st *planStep, idx int64) error {
+	verb := "load"
+	if st.act == aStoreParam || st.act == aStoreAlloca || st.act == aStoreAllocaVal {
+		verb = "store"
+	}
+	return fmt.Errorf("interp: %s out of bounds: %s[%d] (len %d)", verb, st.in.Mem.StorageName(), idx, st.mem.n/st.mem.lanes)
 }

@@ -8,6 +8,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -317,19 +318,55 @@ func execute(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Prof
 	return prof, nil
 }
 
-// validateArgs checks that every kernel parameter is bound in cfg, with
-// the same errors on every profiling path.
+// validateArgs checks that every kernel parameter is bound in cfg to a
+// value of its declared type, with the same errors on every profiling
+// path: a buffer must agree with its parameter on float-ness, and a
+// scalar must fit its type (see fits). Every value the executors read
+// from a launch then fits its IR type, which the static executor's
+// typed banks rely on (see bankOf).
 func validateArgs(f *ir.Func, cfg *Config) error {
 	for _, p := range f.Params {
 		if p.T.Ptr {
-			if cfg.Buffers[p.PName] == nil {
+			b := cfg.Buffers[p.PName]
+			if b == nil {
 				return fmt.Errorf("interp: missing buffer for parameter %s", p.PName)
 			}
-		} else if _, ok := cfg.Scalars[p.PName]; !ok {
+			if b.Elem.Base.IsFloat() != p.Elem().Base.IsFloat() {
+				return fmt.Errorf("interp: buffer for parameter %s holds %s, not %s", p.PName, b.Elem.Base, p.Elem().Base)
+			}
+			continue
+		}
+		v, ok := cfg.Scalars[p.PName]
+		if !ok {
 			return fmt.Errorf("interp: missing scalar argument %s", p.PName)
+		}
+		if !fits(v, p.T) {
+			return fmt.Errorf("interp: scalar argument %s does not fit its type %s", p.PName, p.T)
 		}
 	}
 	return nil
+}
+
+// fits reports whether v holds a value of type t the way the executors
+// make one: a scalar sets only the field its type selects (F for
+// floats, I otherwise) and leaves the other bitwise zero, and only a
+// vector carries lanes, each a scalar of its element type.
+func fits(v Val, t ast.Type) bool {
+	if v.Vec != nil {
+		if !t.IsVector() || v.I != 0 || math.Float64bits(v.F) != 0 {
+			return false
+		}
+		for _, l := range v.Vec {
+			if !fits(l, ast.Scalar(t.Base)) {
+				return false
+			}
+		}
+		return true
+	}
+	if t.Base.IsFloat() {
+		return v.I == 0
+	}
+	return math.Float64bits(v.F) == 0
 }
 
 func finalizeProfile(p *Profile) {
@@ -495,6 +532,7 @@ type wiState struct {
 	locals map[*ir.Alloca][]Val
 	priv   map[*ir.Alloca][]Val
 	regs   map[*ir.Instr]Val
+	args   []Val // operand scratch of calls and vector ops
 	bar    *wgBarrier
 
 	trace       bool

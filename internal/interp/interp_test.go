@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -386,6 +387,52 @@ __kernel void k(__global float* x, int n) { x[0] = (float)n; }`, "k")
 	}
 	if err := Run(k, cfg); err == nil {
 		t.Fatal("expected missing-argument error")
+	}
+}
+
+// TestArgumentTypeChecked pins that a launch binding a value of the
+// wrong kind is rejected, with one error on both executors: an int in a
+// float scalar would read 0 in arithmetic but true in a branch.
+func TestArgumentTypeChecked(t *testing.T) {
+	k := compileKernel(t, `
+__kernel void k(__global int* x, float a, int n) {
+    int i = get_global_id(0);
+    if (a) { x[i] = n; }
+}`, "k")
+	cases := []struct {
+		name    string
+		x       *Buffer
+		a, n    Val
+		wantErr string
+	}{
+		{"ok", NewIntBuffer(ast.KInt, 4), FloatVal(1), IntVal(2), ""},
+		{"int in float", NewIntBuffer(ast.KInt, 4), IntVal(1), IntVal(2), "scalar argument a does not fit its type float"},
+		{"float in int", NewIntBuffer(ast.KInt, 4), FloatVal(1), FloatVal(2), "scalar argument n does not fit its type int"},
+		{"both fields", NewIntBuffer(ast.KInt, 4), Val{I: 1, F: 1}, IntVal(2), "scalar argument a does not fit"},
+		{"vector in scalar", NewIntBuffer(ast.KInt, 4), FloatVal(1), Val{Vec: []Val{IntVal(1)}}, "scalar argument n does not fit"},
+		{"float buffer", NewFloatBuffer(ast.KFloat, 4), FloatVal(1), IntVal(2), "buffer for parameter x holds float, not int"},
+	}
+	for _, tc := range cases {
+		cfg := func() *Config {
+			return &Config{
+				Range:   NDRange{Global: [3]int64{4}, Local: [3]int64{4}},
+				Buffers: map[string]*Buffer{"x": tc.x},
+				Scalars: map[string]Val{"a": tc.a, "n": tc.n},
+			}
+		}
+		_, _, serr := StaticProfile(k, cfg(), 1, false)
+		_, ierr := InterpProfile(k, cfg(), 1, false)
+		for _, err := range []error{serr, ierr} {
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+		}
+		if serr != nil && ierr != nil && serr.Error() != ierr.Error() {
+			t.Errorf("%s: static error %q, interp error %q", tc.name, serr, ierr)
+		}
 	}
 }
 

@@ -76,7 +76,9 @@ func runSweep(p *static.Plan, cfg *Config, locals [][3]int64, sample groupSample
 	if err != nil {
 		return nil, err
 	}
-	s.start(p, cfg, max(workers, 1))
+	if err := s.start(p, cfg, max(workers, 1)); err != nil {
+		return nil, err
+	}
 	if err := s.run(); err != nil {
 		return nil, err
 	}
@@ -218,7 +220,7 @@ func newSweep(cfg *Config, locals [][3]int64, sample groupSample, sinks []GroupS
 // start builds one executor per worker. One worker executes each group
 // as one chunk; more split its work-items into up to four chunks per
 // worker, so uneven work-items still balance across them.
-func (s *sweep) start(p *static.Plan, cfg *Config, workers int) {
+func (s *sweep) start(p *static.Plan, cfg *Config, workers int) error {
 	wgSize := int(s.big.nd.WorkGroupSize())
 	workers = min(workers, wgSize)
 	chunks := 1
@@ -227,8 +229,12 @@ func (s *sweep) start(p *static.Plan, cfg *Config, workers int) {
 	}
 	s.chunkLen = (wgSize + chunks - 1) / chunks
 	for w := 0; w < workers; w++ {
+		x, err := newPlanExec(p, cfg, s.big.nd)
+		if err != nil {
+			return err
+		}
 		sw := &sweepWorker{
-			x:        newPlanExec(p, cfg, s.big.nd),
+			x:        x,
 			counts:   make([][]int64, len(s.launches)),
 			barriers: make([]int64, len(s.launches)),
 			wis:      make([]int, len(s.launches)),
@@ -238,6 +244,7 @@ func (s *sweep) start(p *static.Plan, cfg *Config, workers int) {
 		}
 		s.workers = append(s.workers, sw)
 	}
+	return nil
 }
 
 // run executes the largest launch's profiled groups one step at a time.

@@ -17,7 +17,8 @@ const InlineBench = "inline"
 // the source is compiled once (at the smallest swept work-group size)
 // to validate it and enumerate its parameters, global pointer arguments
 // get deterministic synthesized buffers, and scalar arguments must all
-// be bound via ref.Scalars. The resulting kernel's CacheKey depends
+// be bound via ref.Scalars (a float parameter takes its value as a
+// float). The resulting kernel's CacheKey depends
 // only on source + workload, so two requests carrying the same inline
 // kernel coalesce onto one compile+analyze in the prep cache.
 func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
@@ -86,6 +87,11 @@ func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
 		if !t.Ptr {
 			if _, ok := ref.Scalars[prm.PName]; !ok {
 				missing = append(missing, prm.PName)
+			} else if t.Base.IsFloat() {
+				if k.FloatScalars == nil {
+					k.FloatScalars = make(map[string]bool)
+				}
+				k.FloatScalars[prm.PName] = true
 			}
 			continue
 		}

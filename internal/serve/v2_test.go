@@ -153,6 +153,40 @@ func TestV2PredictInlineKernel(t *testing.T) {
 	}
 }
 
+// TestV2PredictInlineFloatScalar pins that an inline kernel's float
+// scalar is bound as a float: a loop bounded by (int)a runs a trips per
+// work-item, each a load and a store of y[i].
+func TestV2PredictInlineFloatScalar(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: time.Minute})
+	ref := api.KernelRef{
+		Source: `__kernel void count(__global int* y, float a) {
+	int i = get_global_id(0);
+	for (int t = 0; t < (int)a; t++) { y[i] += t; }
+}`,
+		Fn:      "count",
+		Global:  []int64{256},
+		Scalars: map[string]int64{"a": 3},
+	}
+	resp, body := postJSON(t, ts.URL+"/v2/predict", map[string]any{
+		"kernel": ref,
+		"design": map[string]any{"wg_size": 64},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	k, aerr := api.ResolveKernel(ref, api.V2)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	an, err := s.prep.Analysis(k, device.Virtex7(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := an.Mem.RawPerWI; got != 6 {
+		t.Errorf("global accesses per work-item = %v, want 6 (3 trips of y[i] += t)", got)
+	}
+}
+
 // TestV2PredictCoalescing is the tentpole property: K concurrent
 // predictions of the same kernel share ONE compile+analyze execution
 // through the singleflight prep cache.

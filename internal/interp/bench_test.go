@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/device"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // BenchmarkProfileStaticVsInterp times both profiler paths the way prep
@@ -14,8 +16,11 @@ import (
 // kernel's largest WG size (the size a shared sweep executes). The
 // static cases stream to no sink, so they time the slice executor and
 // its sweep driver alone; static/corpus profiles every statically
-// analyzable bundled and generated kernel once per op. Run it on demand
-// with
+// analyzable bundled and generated kernel once per op. stream/corpus
+// profiles the same kernels the way model.Analyze does, each streamed
+// into a fresh trace.Stream and classified, so it adds the trace path:
+// the executor's trace buffers and trace's coalescing and
+// classification. Run it on demand with
 //
 //	go test -run '^$' -bench BenchmarkProfileStaticVsInterp ./internal/interp
 func BenchmarkProfileStaticVsInterp(b *testing.B) {
@@ -31,7 +36,7 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 		b.Run("static/"+id, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				l.profileStatic(b)
+				l.profileStatic(b, nil)
 			}
 		})
 		b.Run("interp/"+id, func(b *testing.B) {
@@ -58,7 +63,18 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, l := range corpus {
-				l.profileStatic(b)
+				l.profileStatic(b, nil)
+			}
+		}
+	})
+	p := device.Virtex7()
+	b.Run("stream/corpus", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, l := range corpus {
+				s := trace.NewStream(trace.NewLayout(l.f, trace.BufferCounts(l.f, l.cfg), p.DRAM), p.DRAM, p.MemAccessUnitBits/8)
+				l.profileStatic(b, s.Group)
+				s.Classified()
 			}
 		}
 	})
@@ -83,8 +99,10 @@ func compileLargest(b *testing.B, k *bench.Kernel) launch {
 	return launch{id: k.ID(), wg: wg, f: f, cfg: k.Config(wg)}
 }
 
-func (l launch) profileStatic(b *testing.B) {
-	prof, err := interp.ProfileStream(l.f, l.cfg, model.ProfileGroups, nil)
+// profileStatic profiles l into sink, which may be nil, and fails
+// unless the static executor produced the profile.
+func (l launch) profileStatic(b *testing.B, sink interp.GroupSink) {
+	prof, err := interp.ProfileStream(l.f, l.cfg, model.ProfileGroups, sink)
 	if err != nil {
 		b.Fatalf("%s: %v", l.id, err)
 	}

@@ -408,7 +408,7 @@ func (w *wiState) loadElem(store ir.Storage, idx int64, t ast.Type) Val {
 		}
 		if w.trace {
 			w.accesses = append(w.accesses, Access{
-				Param: s, Index: idx, Bytes: t.ElemSize(), Write: false,
+				Param: int32(s.Index), Index: idx, Bytes: uint16(t.ElemSize()), Write: false,
 			})
 		}
 		return readBuf(buf, base, lanes)
@@ -441,7 +441,7 @@ func (w *wiState) storeElem(store ir.Storage, idx int64, v Val) {
 		}
 		if w.trace {
 			w.accesses = append(w.accesses, Access{
-				Param: s, Index: idx, Bytes: t.ElemSize(), Write: true,
+				Param: int32(s.Index), Index: idx, Bytes: uint16(t.ElemSize()), Write: true,
 			})
 		}
 		writeBuf(buf, base, lanes, v)
@@ -577,10 +577,10 @@ func (w *wiState) atomic(in *ir.Instr, idx int64, operand Val) Val {
 	// Record as one read + one write for the memory trace.
 	if w.trace {
 		if p, ok := in.Mem.(*ir.Param); ok {
-			sz := p.Elem().ElemSize()
+			prm, sz := int32(p.Index), uint16(p.Elem().ElemSize())
 			w.accesses = append(w.accesses,
-				Access{Param: p, Index: idx, Bytes: sz, Write: false},
-				Access{Param: p, Index: idx, Bytes: sz, Write: true})
+				Access{Param: prm, Index: idx, Bytes: sz, Write: false},
+				Access{Param: prm, Index: idx, Bytes: sz, Write: true})
 		}
 	}
 	w.storeElemNoTrace(in.Mem, idx, IntVal(nv))

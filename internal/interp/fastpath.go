@@ -274,13 +274,13 @@ type planStep struct {
 
 // memStep is a memory step's pre-resolved target.
 type memStep struct {
-	prm   *ir.Param // access target for the trace
-	buf   *Buffer   // bound buffer (param accesses)
-	cell  opSrc     // first cell of a tracked alloca (slot -1: untracked)
-	val   opSrc     // aStoreAllocaVal's value
-	n     int64     // scalar cells of the target
-	lanes int64     // element lanes of the access
-	bytes int       // traced bytes of the access
+	prm   int32   // the traced parameter's index (param accesses)
+	bytes uint16  // traced bytes of the access
+	buf   *Buffer // bound buffer (param accesses)
+	cell  opSrc   // first cell of a tracked alloca (slot -1: untracked)
+	val   opSrc   // aStoreAllocaVal's value
+	n     int64   // scalar cells of the target
+	lanes int64   // element lanes of the access
 }
 
 // Terminator kinds.
@@ -591,8 +591,8 @@ func (c *planCompiler) memStep(in *ir.Instr, st *planStep) {
 		if in.Op != ir.OpLoad {
 			elem = s.Elem()
 		}
-		m.lanes, m.bytes = int64(elem.Lanes()), elem.ElemSize()
-		m.prm, m.buf = s, c.cfg.Buffers[s.PName]
+		m.lanes, m.bytes = int64(elem.Lanes()), uint16(elem.ElemSize())
+		m.prm, m.buf = int32(s.Index), c.cfg.Buffers[s.PName]
 		m.n = int64(m.buf.Len())
 		switch in.Op {
 		case ir.OpLoad:

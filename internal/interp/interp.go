@@ -57,11 +57,14 @@ func (b *Buffer) Len() int {
 	return len(b.I)
 }
 
-// Access is one recorded global-memory access of a work-item.
+// Access is one recorded global-memory access of a work-item: 16 bytes
+// holding no pointer, so a trace buffer costs the garbage collector
+// nothing to scan. Param names the buffer argument by its position,
+// the ir.Param.Index of the function that was profiled.
 type Access struct {
-	Param *ir.Param // which buffer argument
-	Index int64     // element index into the buffer (scalar slots)
-	Bytes int       // access width in bytes
+	Index int64  // element index into the buffer (scalar slots)
+	Param int32  // the buffer argument's ir.Param.Index
+	Bytes uint16 // access width in bytes
 	Write bool
 }
 
@@ -149,7 +152,10 @@ func Run(f *ir.Func, cfg *Config) error {
 // one slice per work-item in work-item issue order, as soon as every
 // work-item of the group has completed. ord numbers the sampled groups
 // in dispatch order from 0. The slices are reused once the sink
-// returns, so a sink that keeps them must copy.
+// returns, by a later group of the same profile or, since the static
+// executor recycles its trace buffers across profiles, by a later
+// profile, even one running concurrently. A sink that keeps them must
+// copy.
 type GroupSink func(ord int, wis [][]Access)
 
 // ProfileKernel collects trip counts and global-memory traces for up to

@@ -2,8 +2,10 @@ package interp
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/irgen"
@@ -353,11 +355,45 @@ __kernel void copy(__global const float* a, __global float* b) {
 		if tr[0].Write || !tr[1].Write {
 			t.Errorf("wi %d: access order wrong: %+v", wi, tr)
 		}
-		if tr[0].Param.PName != "a" || tr[1].Param.PName != "b" {
-			t.Errorf("wi %d: wrong buffers %s/%s", wi, tr[0].Param.PName, tr[1].Param.PName)
+		if k.Params[tr[0].Param].PName != "a" || k.Params[tr[1].Param].PName != "b" {
+			t.Errorf("wi %d: wrong buffers %s/%s", wi, k.Params[tr[0].Param].PName, k.Params[tr[1].Param].PName)
 		}
 		if tr[0].Index != int64(wi) {
 			t.Errorf("wi %d: index %d", wi, tr[0].Index)
+		}
+	}
+}
+
+// TestAccessRecordPointerFree pins the trace record's shape: 16 bytes
+// and no pointer, so trace buffers are small and the garbage collector
+// never scans them. A field that brings a pointer back fails it.
+func TestAccessRecordPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(Access{}); n != 16 {
+		t.Errorf("Access is %d bytes, want 16", n)
+	}
+	var holdsPointer func(reflect.Type) bool
+	holdsPointer = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		case reflect.Array:
+			return ty.Len() > 0 && holdsPointer(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if holdsPointer(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true // pointers, slices, maps, strings, interfaces, channels, funcs
+	}
+	ty := reflect.TypeOf(Access{})
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Access.%s (%s) holds a pointer", f.Name, f.Type)
 		}
 	}
 }

@@ -20,8 +20,8 @@ func TestWGBurstsColumnMajor(t *testing.T) {
 	traces := make([][]interp.Access, 16)
 	for wi := range traces {
 		traces[wi] = []interp.Access{
-			{Param: prm, Index: int64(wi), Bytes: 4},
-			{Param: prm, Index: int64(64 + wi), Bytes: 4},
+			{Param: int32(prm.Index), Index: int64(wi), Bytes: 4},
+			{Param: int32(prm.Index), Index: int64(64 + wi), Bytes: 4},
 		}
 	}
 	groups := WGBursts(traces, 16, l, 64)
@@ -41,7 +41,7 @@ func TestGroupedCoalescingAcrossWorkItems(t *testing.T) {
 	prm := k.GlobalParams()[0]
 	traces := make([][]interp.Access, 16)
 	for wi := range traces {
-		traces[wi] = []interp.Access{{Param: prm, Index: int64(wi), Bytes: 4}}
+		traces[wi] = []interp.Access{{Param: int32(prm.Index), Index: int64(wi), Bytes: 4}}
 	}
 	perWI := ClassifyGrouped(traces, 1, l, p, 64)
 	grouped := ClassifyGrouped(traces, 16, l, p, 64)
@@ -60,7 +60,7 @@ func TestWGBurstsGrouping(t *testing.T) {
 	prm := k.GlobalParams()[0]
 	traces := make([][]interp.Access, 32)
 	for wi := range traces {
-		traces[wi] = []interp.Access{{Param: prm, Index: int64(wi), Bytes: 4}}
+		traces[wi] = []interp.Access{{Param: int32(prm.Index), Index: int64(wi), Bytes: 4}}
 	}
 	groups := WGBursts(traces, 16, l, 64)
 	if len(groups) != 2 {
@@ -81,8 +81,8 @@ func TestGroupedPatternCountsSumToBursts(t *testing.T) {
 	traces := make([][]interp.Access, 64)
 	for wi := range traces {
 		traces[wi] = []interp.Access{
-			{Param: prm, Index: int64(wi * 137 % 4096), Bytes: 4},
-			{Param: prm, Index: int64(wi), Bytes: 4, Write: true},
+			{Param: int32(prm.Index), Index: int64(wi * 137 % 4096), Bytes: 4},
+			{Param: int32(prm.Index), Index: int64(wi), Bytes: 4, Write: true},
 		}
 	}
 	c := ClassifyGrouped(traces, 64, l, p, 64)
@@ -106,7 +106,7 @@ func TestStreamRestartsAtOrdinalZero(t *testing.T) {
 	group := func(first int64, write bool) [][]interp.Access {
 		wis := make([][]interp.Access, 16)
 		for wi := range wis {
-			wis[wi] = []interp.Access{{Param: prm, Index: first + int64(wi)*64, Bytes: 4, Write: write}}
+			wis[wi] = []interp.Access{{Param: int32(prm.Index), Index: first + int64(wi)*64, Bytes: 4, Write: write}}
 		}
 		return wis
 	}

@@ -17,11 +17,17 @@ import (
 	"repro/internal/ir"
 )
 
-// Layout assigns every global buffer a base byte address.
+// Layout assigns every global buffer a base byte address. Base is
+// indexed by parameter, the ir.Param.Index an interp.Access records; a
+// parameter without a global buffer (a scalar, a __local pointer) has
+// the base -1, and coalescing skips its accesses.
 type Layout struct {
-	Base map[string]int64
+	Base []int64
 	End  int64
 }
+
+// noBase is the Layout base of a parameter that has no global buffer.
+const noBase = -1
 
 // NewLayout lays the kernel's global buffers out sequentially, each
 // aligned to a row boundary (the allocator behaviour on the board).
@@ -31,10 +37,13 @@ func NewLayout(f *ir.Func, counts map[string]int64, p device.DRAMParams) Layout 
 	if align <= 0 {
 		align = 1024
 	}
-	l := Layout{Base: make(map[string]int64)}
+	l := Layout{Base: make([]int64, len(f.Params))}
+	for i := range l.Base {
+		l.Base[i] = noBase
+	}
 	var addr int64
 	for _, prm := range f.GlobalParams() {
-		l.Base[prm.PName] = addr
+		l.Base[prm.Index] = addr
 		n := counts[prm.PName]
 		if n <= 0 {
 			n = 1024
@@ -44,6 +53,15 @@ func NewLayout(f *ir.Func, counts map[string]int64, p device.DRAMParams) Layout 
 	}
 	l.End = addr
 	return l
+}
+
+// base returns the base address of the buffer parameter prm, and false
+// when it has none.
+func (l Layout) base(prm int32) (int64, bool) {
+	if prm < 0 || int(prm) >= len(l.Base) || l.Base[prm] == noBase {
+		return 0, false
+	}
+	return l.Base[prm], true
 }
 
 // Burst is one coalesced memory transaction.
@@ -61,7 +79,7 @@ type Burst struct {
 // down to the unit. This column-major order is what lets SDAccel
 // coalesce consecutive work-items' unit-stride accesses into 512-bit
 // bursts: the access count divides by f = unit size / data width (§3.4).
-// Accesses to a buffer missing from the layout are skipped.
+// Accesses to a parameter without a base in the layout are skipped.
 func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) {
 	unit := int64(unitBytes)
 	maxLen := 0
@@ -70,14 +88,10 @@ func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) 
 	}
 	var (
 		open       bool // a run is in progress
-		runParam   *ir.Param
+		runParam   int32
 		runWrite   bool
+		runBase    int64 // the layout base of the run's buffer
 		start, end int64 // the run's byte range
-		// The layout base of the last buffer looked up; while a run is
-		// open, that is the run's buffer.
-		lastParam *ir.Param
-		lastBase  int64
-		lastOK    bool
 	)
 	for k := 0; k < maxLen; k++ {
 		for _, tr := range wis {
@@ -86,7 +100,7 @@ func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) 
 			}
 			a := &tr[k]
 			if open && a.Param == runParam && a.Write == runWrite &&
-				lastBase+a.Index*int64(a.Bytes) == end {
+				runBase+a.Index*int64(a.Bytes) == end {
 				end += int64(a.Bytes)
 				continue
 			}
@@ -94,15 +108,12 @@ func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) 
 				emitRun(start, end, unit, runWrite, emit)
 				open = false
 			}
-			if a.Param != lastParam {
-				lastParam = a.Param
-				lastBase, lastOK = l.Base[a.Param.PName]
-			}
-			if !lastOK {
+			base, ok := l.base(a.Param)
+			if !ok {
 				continue
 			}
-			open, runParam, runWrite = true, a.Param, a.Write
-			start = lastBase + a.Index*int64(a.Bytes)
+			open, runParam, runWrite, runBase = true, a.Param, a.Write, base
+			start = base + a.Index*int64(a.Bytes)
 			end = start + int64(a.Bytes)
 		}
 	}

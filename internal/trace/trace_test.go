@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -32,16 +33,79 @@ __kernel void k(__global float* a, __global float* b, __global int* c) {
 }`, "k")
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, map[string]int64{"a": 100, "b": 100, "c": 100}, p)
-	if l.Base["a"] != 0 {
-		t.Errorf("a base = %d", l.Base["a"])
+	a, b, c := k.Param("a").Index, k.Param("b").Index, k.Param("c").Index
+	if l.Base[a] != 0 {
+		t.Errorf("a base = %d", l.Base[a])
 	}
-	for name, base := range l.Base {
+	for i, base := range l.Base {
 		if base%int64(p.RowBytes) != 0 {
-			t.Errorf("%s base %d not row aligned", name, base)
+			t.Errorf("%s base %d not row aligned", k.Params[i].PName, base)
 		}
 	}
-	if l.Base["b"] == l.Base["c"] || l.Base["a"] == l.Base["b"] {
+	if l.Base[b] == l.Base[c] || l.Base[a] == l.Base[b] {
 		t.Error("buffers overlap")
+	}
+}
+
+// TestLayoutIndexedByParameter pins what an access's Param means to the
+// layout: the parameter's own index, not its position among the global
+// buffers. The kernel's parameters mix kinds, so the two differ: c and
+// a are parameters 2 and 3 but global buffers 0 and 1. Their accesses
+// must coalesce at their own bases, and those of the __local pointer
+// tmp, which has no global buffer, must be skipped.
+func TestLayoutIndexedByParameter(t *testing.T) {
+	k := compileKernel(t, `
+__kernel void k(int n, __local float* tmp, __constant float* c, __global float* a) {
+    int i = get_global_id(0);
+    int l = get_local_id(0);
+    tmp[l] = c[i];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    a[i] = tmp[l] * 2.0f;
+}`, "k")
+	for i, name := range []string{"n", "tmp", "c", "a"} {
+		if prm := k.Params[i]; prm.PName != name || prm.Index != i {
+			t.Fatalf("parameter %d is %s with index %d, want %s", i, prm.PName, prm.Index, name)
+		}
+	}
+	if gp := k.GlobalParams(); len(gp) != 2 || gp[0].PName != "c" || gp[1].PName != "a" {
+		t.Fatalf("GlobalParams = %v, want [c a]", gp)
+	}
+	const wg = 16
+	cfg := &interp.Config{
+		Range: interp.NDRange{Global: [3]int64{wg}, Local: [3]int64{wg}},
+		Buffers: map[string]*interp.Buffer{
+			"tmp": interp.NewFloatBuffer(ast.KFloat, wg),
+			"c":   interp.NewFloatBuffer(ast.KFloat, wg),
+			"a":   interp.NewFloatBuffer(ast.KFloat, wg),
+		},
+		Scalars: map[string]interp.Val{"n": interp.IntVal(wg)},
+	}
+	prof, err := interp.ProfileKernel(k, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perParam := map[int32]int{}
+	for _, tr := range prof.Traces {
+		for _, a := range tr {
+			perParam[a.Param]++
+		}
+	}
+	// Each work-item writes and reads tmp once, reads c and writes a.
+	if want := map[int32]int{1: 2 * wg, 2: wg, 3: wg}; len(perParam) != len(want) ||
+		perParam[1] != want[1] || perParam[2] != want[2] || perParam[3] != want[3] {
+		t.Fatalf("accesses per parameter = %v, want %v", perParam, want)
+	}
+	p := device.Virtex7().DRAM
+	l := NewLayout(k, BufferCounts(k, cfg), p)
+	// c's 16 floats take the first row, so a starts at the second. Each
+	// is one 64-byte burst; tmp's 32 accesses are skipped.
+	groups := WGBursts(prof.Traces, wg, l, 64)
+	want := []Burst{{Addr: 0}, {Addr: int64(p.RowBytes), Write: true}}
+	if len(groups) != 1 || !slices.Equal(groups[0], want) {
+		t.Errorf("bursts = %v, want one group %v", groups, want)
+	}
+	if want := []int64{noBase, noBase, 0, int64(p.RowBytes)}; !slices.Equal(l.Base, want) {
+		t.Errorf("bases = %v, want %v", l.Base, want)
 	}
 }
 
@@ -65,7 +129,7 @@ __kernel void k(__global float* a) { a[get_global_id(0)] = 1.0f; }`, "k")
 	// One WI writing 16 consecutive floats = 64 bytes = 1 burst.
 	var accs []interp.Access
 	for i := 0; i < 16; i++ {
-		accs = append(accs, interp.Access{Param: prm, Index: int64(i), Bytes: 4, Write: true})
+		accs = append(accs, interp.Access{Param: int32(prm.Index), Index: int64(i), Bytes: 4, Write: true})
 	}
 	bursts := oneWIBursts(t, accs, l)
 	if len(bursts) != 1 {
@@ -83,9 +147,9 @@ __kernel void k(__global float* a) { a[0] = a[1]; }`, "k")
 	l := NewLayout(k, map[string]int64{"a": 64}, p)
 	prm := k.GlobalParams()[0]
 	accs := []interp.Access{
-		{Param: prm, Index: 0, Bytes: 4, Write: false},
-		{Param: prm, Index: 1, Bytes: 4, Write: true}, // direction flips
-		{Param: prm, Index: 2, Bytes: 4, Write: false},
+		{Param: int32(prm.Index), Index: 0, Bytes: 4, Write: false},
+		{Param: int32(prm.Index), Index: 1, Bytes: 4, Write: true}, // direction flips
+		{Param: int32(prm.Index), Index: 2, Bytes: 4, Write: false},
 	}
 	bursts := oneWIBursts(t, accs, l)
 	if len(bursts) != 3 {
@@ -102,7 +166,7 @@ __kernel void k(__global float* a) { a[0] = 0.0f; }`, "k")
 	// Stride-32 floats: 128-byte gaps, no coalescing.
 	var accs []interp.Access
 	for i := 0; i < 8; i++ {
-		accs = append(accs, interp.Access{Param: prm, Index: int64(i * 32), Bytes: 4, Write: false})
+		accs = append(accs, interp.Access{Param: int32(prm.Index), Index: int64(i * 32), Bytes: 4, Write: false})
 	}
 	bursts := oneWIBursts(t, accs, l)
 	if len(bursts) != 8 {

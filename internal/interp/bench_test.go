@@ -20,7 +20,9 @@ import (
 // profiles the same kernels the way model.Analyze does, each streamed
 // into a fresh trace.Stream and classified, so it adds the trace path:
 // the executor's trace buffers and trace's coalescing and
-// classification. Run it on demand with
+// classification. interp/corpus runs every bundled and generated kernel
+// the static analyzer declines through the interpreter once per op, each
+// on a fresh binding, as prep profiles them. Run it on demand with
 //
 //	go test -run '^$' -bench BenchmarkProfileStaticVsInterp ./internal/interp
 func BenchmarkProfileStaticVsInterp(b *testing.B) {
@@ -52,11 +54,13 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 			}
 		})
 	}
-	var corpus []launch
+	var corpus, declined []launch
 	for _, k := range append(bench.All(), bench.GeneratedCorpus()...) {
 		l := compileLargest(b, k)
 		if ok, _ := interp.StaticAnalyzable(l.f); ok {
 			corpus = append(corpus, l)
+		} else {
+			declined = append(declined, l)
 		}
 	}
 	b.Run("static/corpus", func(b *testing.B) {
@@ -64,6 +68,19 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, l := range corpus {
 				l.profileStatic(b, nil)
+			}
+		}
+	})
+	b.Run("interp/corpus", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, l := range declined {
+				b.StopTimer()
+				cfg := l.k.Config(l.wg)
+				b.StartTimer()
+				if _, err := interp.InterpProfile(l.f, cfg, model.ProfileGroups, false); err != nil {
+					b.Fatalf("%s: %v", l.k.ID(), err)
+				}
 			}
 		}
 	})
@@ -83,7 +100,7 @@ func BenchmarkProfileStaticVsInterp(b *testing.B) {
 // launch is one kernel compiled and bound at one WG size. The static
 // executor never writes buffers, so its runs share one binding.
 type launch struct {
-	id  string
+	k   *bench.Kernel
 	wg  int64
 	f   *ir.Func
 	cfg *interp.Config
@@ -96,7 +113,7 @@ func compileLargest(b *testing.B, k *bench.Kernel) launch {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return launch{id: k.ID(), wg: wg, f: f, cfg: k.Config(wg)}
+	return launch{k: k, wg: wg, f: f, cfg: k.Config(wg)}
 }
 
 // profileStatic profiles l into sink, which may be nil, and fails
@@ -104,9 +121,9 @@ func compileLargest(b *testing.B, k *bench.Kernel) launch {
 func (l launch) profileStatic(b *testing.B, sink interp.GroupSink) {
 	prof, err := interp.ProfileStream(l.f, l.cfg, model.ProfileGroups, sink)
 	if err != nil {
-		b.Fatalf("%s: %v", l.id, err)
+		b.Fatalf("%s: %v", l.k.ID(), err)
 	}
 	if prof.Source != interp.SourceStatic {
-		b.Fatalf("%s: profiled by %s, not the static executor", l.id, prof.Source)
+		b.Fatalf("%s: profiled by %s, not the static executor", l.k.ID(), prof.Source)
 	}
 }

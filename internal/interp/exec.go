@@ -21,25 +21,25 @@ func (w *wiState) exec(in *ir.Instr) {
 		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
 		a := w.eval(in.Args[0])
 		b := w.eval(in.Args[1])
-		w.regs[in] = w.arith(in, a, b)
+		w.regs[in.ID] = w.arith(in, a, b)
 
 	case ir.OpICmp, ir.OpFCmp:
 		a := w.eval(in.Args[0])
 		b := w.eval(in.Args[1])
-		w.regs[in] = compareVal(in, a, b)
+		w.regs[in.ID] = compareVal(in, a, b)
 
 	case ir.OpSelect:
 		c := w.eval(in.Args[0])
 		a := w.eval(in.Args[1])
 		b := w.eval(in.Args[2])
-		w.regs[in] = selectVal(in, c, a, b)
+		w.regs[in.ID] = selectVal(in, c, a, b)
 
 	case ir.OpCast:
-		w.regs[in] = castVal(w.eval(in.Args[0]), in.Args[0].Type(), in.T)
+		w.regs[in.ID] = castVal(w.eval(in.Args[0]), in.Args[0].Type(), in.T)
 
 	case ir.OpLoad:
 		idx := w.eval(in.Args[0]).I
-		w.regs[in] = w.loadElem(in.Mem, idx, in.T)
+		w.regs[in.ID] = w.loadElem(in.Mem, idx, in.T)
 
 	case ir.OpStore:
 		idx := w.eval(in.Args[0]).I
@@ -52,10 +52,10 @@ func (w *wiState) exec(in *ir.Instr) {
 		if len(in.Args) > 1 {
 			operand = w.eval(in.Args[1])
 		}
-		w.regs[in] = w.atomic(in, idx, operand)
+		w.regs[in.ID] = w.atomic(in, idx, operand)
 
 	case ir.OpWorkItem:
-		w.regs[in] = IntVal(w.workItem(in.Fn, in.Dim))
+		w.regs[in.ID] = IntVal(w.workItem(in.Fn, in.Dim))
 
 	case ir.OpBarrier:
 		w.barriers++
@@ -74,7 +74,7 @@ func (w *wiState) exec(in *ir.Instr) {
 		if err != nil {
 			panic(execError{err})
 		}
-		w.regs[in] = v
+		w.regs[in.ID] = v
 	}
 }
 
@@ -465,28 +465,9 @@ func (w *wiState) storeElem(store ir.Storage, idx int64, v Val) {
 }
 
 // cells returns the backing storage of an alloca for this work-item
-// (private) or its group (local). Element granularity is scalar lanes.
-func (w *wiState) cells(a *ir.Alloca) []Val {
-	var cells []Val
-	if a.AS == ast.ASLocal {
-		cells = w.locals[a]
-	} else {
-		cells = w.priv[a]
-	}
-	// Vector-element allocas store lanes contiguously; size on demand.
-	want := a.Count * int64(a.Elem.Lanes())
-	if int64(len(cells)) < want {
-		grown := make([]Val, want)
-		copy(grown, cells)
-		if a.AS == ast.ASLocal {
-			w.locals[a] = grown
-		} else {
-			w.priv[a] = grown
-		}
-		cells = grown
-	}
-	return cells
-}
+// (private) or its group (local): Count×Lanes cells, vector elements
+// stored lane by lane.
+func (w *wiState) cells(a *ir.Alloca) []Val { return w.mem[a.Idx] }
 
 // Work-items of a group run as concurrent goroutines, and OpenCL lets
 // unsynchronized work-items race on global memory with an undefined

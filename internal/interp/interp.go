@@ -152,10 +152,9 @@ func Run(f *ir.Func, cfg *Config) error {
 // one slice per work-item in work-item issue order, as soon as every
 // work-item of the group has completed. ord numbers the sampled groups
 // in dispatch order from 0. The slices are reused once the sink
-// returns, by a later group of the same profile or, since the static
-// executor recycles its trace buffers across profiles, by a later
-// profile, even one running concurrently. A sink that keeps them must
-// copy.
+// returns, but only by later groups of the same profile: no profile
+// hands out a buffer another profile filled. A sink that keeps them
+// must copy.
 type GroupSink func(ord int, wis [][]Access)
 
 // ProfileKernel collects trip counts and global-memory traces for up to
@@ -288,13 +287,14 @@ var errGroupAborted = errors.New("interp: work-group aborted after a peer error"
 // execError aborts a work-item with a diagnostic.
 type execError struct{ err error }
 
-// execute interprets the sampled work-groups one after another. With a
-// non-nil sink it traces global accesses and hands each completed
-// group's traces to the sink; a faulting group is not handed over.
+// execute interprets the sampled work-groups one after another, on one
+// work-item state per slot of a group, made once per launch and reset
+// for each group. With a non-nil sink it traces global accesses and
+// hands each completed group's traces to the sink; a faulting group is
+// not handed over.
 func execute(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Profile, error) {
 	nd := cfg.Range.Normalize()
-	wgSize := nd.WorkGroupSize()
-	if wgSize <= 0 {
+	if nd.WorkGroupSize() <= 0 {
 		return nil, fmt.Errorf("interp: empty work-group")
 	}
 	if err := validateArgs(f, cfg); err != nil {
@@ -302,17 +302,19 @@ func execute(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Prof
 	}
 
 	prof := &Profile{BlockCounts: make(map[*ir.Block]float64), Source: SourceInterp}
-	var mu sync.Mutex // guards atomics
+	wis := newWorkItems(f, cfg, nd, sink != nil)
 	var traces [][]Access
 	if sink != nil {
-		// One trace buffer per work-item slot, reused by every group.
-		traces = make([][]Access, wgSize)
+		traces = make([][]Access, len(wis))
 	}
 	err := sample.each(nd, func(ord int, group [3]int64) error {
-		if err := runGroup(f, cfg, nd, group, traces, prof, &mu); err != nil {
+		if err := runGroup(wis, group, prof); err != nil {
 			return err
 		}
 		if sink != nil {
+			for i, w := range wis {
+				traces[i] = w.accesses
+			}
 			sink(ord, traces)
 		}
 		return nil
@@ -384,7 +386,8 @@ func finalizeProfile(p *Profile) {
 	}
 }
 
-// wgBarrier is a reusable barrier for one work-group.
+// wgBarrier is a barrier for the work-items of one group, reused by
+// every group of a launch.
 type wgBarrier struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -393,10 +396,18 @@ type wgBarrier struct {
 	phase int
 }
 
-func newWGBarrier(n int) *wgBarrier {
-	b := &wgBarrier{n: n}
+func newWGBarrier() *wgBarrier {
+	b := &wgBarrier{}
 	b.cond = sync.NewCond(&b.mu)
 	return b
+}
+
+// reset arms the barrier for a group of n work-items. No work-item of
+// the group before may still be waiting.
+func (b *wgBarrier) reset(n int) {
+	b.mu.Lock()
+	b.n, b.count = n, 0
+	b.mu.Unlock()
 }
 
 // wait blocks until every live work-item of the group arrives. It
@@ -425,52 +436,74 @@ func (b *wgBarrier) wait() bool {
 	return b.n > 0
 }
 
-// runGroup interprets one work-group, one goroutine per work-item. A
-// non-nil traces has one buffer per work-item slot: each work-item
-// appends its global accesses to its slot's buffer, truncated first.
-// The group contributes to prof only when every work-item completes.
-func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, traces [][]Access,
-	prof *Profile, mu *sync.Mutex) error {
-
-	wgSize := nd.WorkGroupSize()
-	// Local memory shared by the group.
-	locals := make(map[*ir.Alloca][]Val)
+// newWorkItems makes the state of every work-item slot of nd's groups,
+// in local order. Each slot has its registers by instruction ID, its
+// block counts by block ID and its alloca cells by Alloca.Idx, every
+// alloca sized Count×Lanes up front, so no cell storage grows while the
+// group runs. A __local alloca's cells are the group's: every slot
+// shares them. Work-items beyond the global size still get a slot and
+// take part in barriers (OpenCL requires uniform group sizes; our
+// kernels guard with if (gid < n)).
+func newWorkItems(f *ir.Func, cfg *Config, nd NDRange, trace bool) []*wiState {
+	size := func(a *ir.Alloca) int { return int(a.Count) * a.Elem.Lanes() }
+	locals := make([][]Val, len(f.Allocas))
+	private := 0
 	for _, a := range f.Allocas {
 		if a.AS == ast.ASLocal {
-			locals[a] = make([]Val, a.Count)
+			locals[a.Idx] = make([]Val, size(a))
+		} else {
+			private += size(a)
 		}
 	}
-	bar := newWGBarrier(int(wgSize))
+	mu, bar := &sync.Mutex{}, newWGBarrier()
 
-	wis := make([]*wiState, 0, wgSize)
+	wis := make([]*wiState, 0, nd.WorkGroupSize())
 	for lz := int64(0); lz < nd.Local[2]; lz++ {
 		for ly := int64(0); ly < nd.Local[1]; ly++ {
 			for lx := int64(0); lx < nd.Local[0]; lx++ {
-				gid := [3]int64{
-					group[0]*nd.Local[0] + lx,
-					group[1]*nd.Local[1] + ly,
-					group[2]*nd.Local[2] + lz,
-				}
-				// Work-items beyond the global size still participate in
-				// barriers (OpenCL requires uniform group sizes; our
-				// kernels guard with if (gid < n)).
 				w := &wiState{
-					f: f, cfg: cfg, nd: nd, group: group,
-					local: [3]int64{lx, ly, lz}, global: gid,
-					locals: locals, bar: bar, trace: traces != nil,
-					blockCounts: make(map[*ir.Block]int64),
-					mu:          mu,
+					f: f, cfg: cfg, nd: nd, local: [3]int64{lx, ly, lz},
+					regs:        make([]Val, f.InstrIDs()),
+					priv:        make([]Val, private),
+					mem:         slices.Clone(locals),
+					blockCounts: make([]int64, f.BlockIDs()),
+					bar:         bar, mu: mu, trace: trace,
 				}
-				if w.trace {
-					w.accesses = traces[len(wis)][:0]
+				off := 0
+				for _, a := range f.Allocas {
+					if a.AS != ast.ASLocal {
+						w.mem[a.Idx] = w.priv[off : off+size(a)]
+						off += size(a)
+					}
 				}
 				wis = append(wis, w)
 			}
 		}
 	}
+	return wis
+}
+
+// runGroup interprets one work-group on the launch's work-item slots,
+// one goroutine per work-item. It first clears the group's __local
+// cells; each work-item clears its own slot's state before it runs and
+// appends its global accesses, when traced, to its slot's buffer. The
+// group contributes to prof only when every work-item completes, each
+// block a work-item visited adding its count.
+func runGroup(wis []*wiState, group [3]int64, prof *Profile) error {
+	f, local := wis[0].f, wis[0].nd.Local
+	for _, a := range f.Allocas {
+		if a.AS == ast.ASLocal {
+			clear(wis[0].mem[a.Idx])
+		}
+	}
+	wis[0].bar.reset(len(wis))
 
 	var wg sync.WaitGroup
 	for _, w := range wis {
+		w.group = group
+		for d := 0; d < 3; d++ {
+			w.global[d] = group[d]*local[d] + w.local[d]
+		}
 		wg.Add(1)
 		go func(w *wiState) {
 			defer wg.Done()
@@ -504,15 +537,14 @@ func runGroup(f *ir.Func, cfg *Config, nd NDRange, group [3]int64, traces [][]Ac
 	if aborted != nil {
 		return aborted
 	}
-	for i, w := range wis {
+	for _, w := range wis {
 		prof.WorkItems++
-		for b, c := range w.blockCounts {
-			prof.BlockCounts[b] += float64(c)
+		for _, b := range f.Blocks {
+			if c := w.blockCounts[b.ID]; c != 0 {
+				prof.BlockCounts[b] += float64(c)
+			}
 		}
 		prof.Barriers += float64(w.barriers)
-		if w.trace {
-			traces[i] = w.accesses
-		}
 	}
 	return nil
 }
@@ -527,6 +559,8 @@ func (b *wgBarrier) abort() {
 	b.mu.Unlock()
 }
 
+// wiState is one work-item slot of a launch: the state of the work-item
+// it runs in the current group.
 type wiState struct {
 	f      *ir.Func
 	cfg    *Config
@@ -535,15 +569,15 @@ type wiState struct {
 	local  [3]int64
 	global [3]int64
 
-	locals map[*ir.Alloca][]Val
-	priv   map[*ir.Alloca][]Val
-	regs   map[*ir.Instr]Val
-	args   []Val // operand scratch of calls and vector ops
-	bar    *wgBarrier
+	regs []Val   // by Instr.ID
+	priv []Val   // the slot's private cells, back to back
+	mem  [][]Val // every alloca's cells by Alloca.Idx: in priv, or the group's
+	args []Val   // operand scratch of calls and vector ops
+	bar  *wgBarrier
 
 	trace       bool
 	accesses    []Access
-	blockCounts map[*ir.Block]int64
+	blockCounts []int64 // by Block.ID
 	barriers    int
 	mu          *sync.Mutex
 	err         error
@@ -553,20 +587,20 @@ func (w *wiState) fail(format string, args ...any) {
 	panic(execError{fmt.Errorf("interp: "+format, args...)})
 }
 
+// run executes the slot's work-item of the current group from a cleared
+// state: registers and private cells zero, as a fresh work-item's are.
 func (w *wiState) run() {
-	w.priv = make(map[*ir.Alloca][]Val)
-	for _, a := range w.f.Allocas {
-		if a.AS != ast.ASLocal {
-			w.priv[a] = make([]Val, a.Count)
-		}
-	}
-	w.regs = make(map[*ir.Instr]Val)
+	clear(w.regs)
+	clear(w.priv)
+	clear(w.blockCounts)
+	w.barriers = 0
+	w.accesses = w.accesses[:0]
 
 	maxSteps := int(profStepLimit) // runaway-loop guard
 	steps := 0
 	blk := w.f.Entry()
 	for blk != nil {
-		w.blockCounts[blk]++
+		w.blockCounts[blk.ID]++
 		var next *ir.Block
 		for _, in := range blk.Instrs {
 			steps++
@@ -618,7 +652,7 @@ func (w *wiState) eval(v ir.Value) Val {
 		}
 		return sv
 	case *ir.Instr:
-		return w.regs[x]
+		return w.regs[x.ID]
 	}
 	w.fail("unknown value %T", v)
 	return Val{}

@@ -69,10 +69,9 @@ func ProfileSweep(f *ir.Func, cfg *Config, locals [][3]int64, maxGroups, workers
 // are never mutated. On a fault it returns no profiles and the error of
 // a faulting work-item, the first in dispatch order on one worker.
 //
-// The chunks' trace buffers come from traceBufs and go back to it when
-// the sweep ends, on a fault too, so later sweeps reuse them. A sink
-// that keeps a trace copies it (GroupSink), so no view into a buffer
-// outlives the sweep that filled it.
+// The chunks' trace buffers live as long as the sweep: a group's are
+// reused by a later group of the same sweep once no hand-off reads them,
+// and a sink that keeps a trace copies it (GroupSink).
 func runSweep(p *static.Plan, cfg *Config, locals [][3]int64, sample groupSample, workers int, sinks []GroupSink) ([]*Profile, error) {
 	if err := validateArgs(p.Fn, cfg); err != nil {
 		return nil, err
@@ -81,7 +80,6 @@ func runSweep(p *static.Plan, cfg *Config, locals [][3]int64, sample groupSample
 	if err != nil {
 		return nil, err
 	}
-	defer s.release()
 	if err := s.start(p, cfg, max(workers, 1)); err != nil {
 		return nil, err
 	}
@@ -120,17 +118,13 @@ func (l *sweepLaunch) member(gid [3]int64) bool {
 }
 
 // sweepChunk is one execution task's share of an executed group:
-// work-items [lo, hi) in local order, their traces back to back in the
-// pooled buffer acc, ends[i] the end of work-item lo+i's trace.
+// work-items [lo, hi) in local order, their traces back to back in acc,
+// ends[i] the end of work-item lo+i's trace.
 type sweepChunk struct {
 	lo, hi int
-	acc    *[]Access
+	acc    []Access
 	ends   []int
 }
-
-// traceBufs holds the chunks' trace buffers between sweeps. Access
-// holds no pointer, so a buffer kept here costs the collector no scan.
-var traceBufs = sync.Pool{New: func() any { return new([]Access) }}
 
 // sweepGroup holds one executed group's traces.
 type sweepGroup struct{ chunks []sweepChunk }
@@ -303,7 +297,7 @@ func (s *sweep) take() *sweepGroup {
 	g := &sweepGroup{}
 	for lo := 0; lo < wgSize; lo += s.chunkLen {
 		hi := min(lo+s.chunkLen, wgSize)
-		g.chunks = append(g.chunks, sweepChunk{lo: lo, hi: hi, acc: traceBufs.Get().(*[]Access), ends: make([]int, hi-lo)})
+		g.chunks = append(g.chunks, sweepChunk{lo: lo, hi: hi, ends: make([]int, hi-lo)})
 	}
 	return g
 }
@@ -362,7 +356,7 @@ func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
 	local := s.big.nd.Local
 	group := s.big.groups[s.cur]
 	x.group = group
-	x.accesses = (*c.acc)[:0]
+	x.accesses = c.acc[:0]
 	for li := c.lo; li < c.hi; li++ {
 		l := int64(li)
 		x.local = [3]int64{l % local[0], l / local[0] % local[1], l / (local[0] * local[1])}
@@ -392,7 +386,7 @@ func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
 			}
 		}
 	}
-	*c.acc = x.accesses
+	c.acc = x.accesses
 	return nil
 }
 
@@ -446,22 +440,7 @@ func (s *sweep) trace(g *sweepGroup, li int) []Access {
 		lo = c.ends[k-1]
 	}
 	hi := c.ends[k]
-	return (*c.acc)[lo:hi:hi]
-}
-
-// release gives the trace buffer of every group the sweep took, kept or
-// free, back to traceBufs.
-func (s *sweep) release() {
-	for _, gs := range [][]*sweepGroup{s.kept, s.free} {
-		for _, g := range gs {
-			if g == nil {
-				continue
-			}
-			for i := range g.chunks {
-				traceBufs.Put(g.chunks[i].acc)
-			}
-		}
-	}
+	return c.acc[lo:hi:hi]
 }
 
 // profiles sums the workers' counts into one finalized profile per

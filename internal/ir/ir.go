@@ -410,6 +410,14 @@ func (f *Func) NewInstr(op Op, t ast.Type) *Instr {
 	return in
 }
 
+// InstrIDs bounds the instruction IDs of f: every Instr.ID that NewInstr
+// handed out is below it, so a slice of this length can be indexed by
+// ID.
+func (f *Func) InstrIDs() int { return f.nextInstrID }
+
+// BlockIDs bounds the block IDs of f the same way.
+func (f *Func) BlockIDs() int { return f.nextBlockID }
+
 // Append places in at the end of b.
 func (f *Func) Append(b *Block, in *Instr) *Instr {
 	in.Blk = b

@@ -75,6 +75,7 @@ const (
 	resLocalWrite
 	resGlobal
 	resDSP
+	numResKinds // the number of kinds, for tables indexed by kind
 )
 
 // resourceOf maps an instruction to the issue resource it occupies.

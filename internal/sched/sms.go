@@ -28,6 +28,12 @@ type PipelineResult struct {
 // code (freq ≈ 1) reserve a specific modulo slot; operations inside loops
 // issue on every iteration and therefore load the reservation table
 // uniformly.
+//
+// The state of a candidate II is flat and reused by the next: the even
+// load is an array by resource kind, the reservation table one row of
+// length II per kind that straight-line operations reserve, and the
+// placements a slice by node position. Each node's dependences are the
+// positions of its arguments placed before it, found once per call.
 func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg *Config) *PipelineResult {
 	mii, rec, res := MII(f, freq, cfg)
 	r := &PipelineResult{MII: mii, RecMII: rec, ResMII: res}
@@ -39,12 +45,9 @@ func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg 
 		lat    int
 		weight float64
 		kind   resKind
-		blk    *ir.Block
-		idx    int
 	}
 
-	var nodes []*node
-	byInstr := map[*ir.Instr]*node{}
+	var nodes []node
 	for _, b := range f.Blocks {
 		latOf := func(in *ir.Instr) int { return cfg.Latency(in) }
 		_, pred := blockDFG(b.Instrs, latOf)
@@ -65,12 +68,10 @@ func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg 
 			if in.Op.IsTerminator() {
 				continue
 			}
-			nd := &node{
+			nodes = append(nodes, node{
 				in: in, est: off + times[i], lat: latOf(in),
-				weight: w, kind: cfg.resourceOf(in), blk: b, idx: i,
-			}
-			nodes = append(nodes, nd)
-			byInstr[in] = nd
+				weight: w, kind: cfg.resourceOf(in),
+			})
 		}
 	}
 
@@ -86,19 +87,59 @@ func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg 
 		return nodes[a].lat > nodes[b].lat
 	})
 
+	// preds[first[i]:first[i+1]] are the positions of node i's arguments
+	// that are nodes before it: the placements a candidate has made when
+	// it reaches node i, each argument as often as it appears.
+	at := make([]int32, f.InstrIDs())
+	for i := range at {
+		at[i] = -1
+	}
+	for i := range nodes {
+		at[nodes[i].in.ID] = int32(i)
+	}
+	first := make([]int32, len(nodes)+1)
+	var preds []int32
+	var resident []int32 // loop-resident nodes with a resource, in order
+	var reserved [numResKinds]bool
+	for i := range nodes {
+		nd := &nodes[i]
+		for _, a := range nd.in.Args {
+			if def, isInstr := a.(*ir.Instr); isInstr {
+				if p := at[def.ID]; p >= 0 && int(p) < i {
+					preds = append(preds, p)
+				}
+			}
+		}
+		first[i+1] = int32(len(preds))
+		switch {
+		case nd.kind == resNone:
+		case nd.weight > 1.5:
+			resident = append(resident, int32(i))
+		default:
+			reserved[nd.kind] = true
+		}
+	}
+	var limit [numResKinds]float64
+	for k := range limit {
+		limit[k] = float64(limits.limit(resKind(k)))
+	}
+
+	var units [numResKinds][]float64
+	place := make([]int, len(nodes))
 	const maxII = 1 << 20
 	for ii := mii; ii < maxII; ii++ {
-		// evenShare: uniform table load from loop-resident operations.
-		even := map[resKind]float64{}
-		for _, nd := range nodes {
-			if nd.kind != resNone && nd.weight > 1.5 {
-				even[nd.kind] += nd.weight / float64(ii)
-			}
+		// evenShare: uniform table load from loop-resident operations,
+		// summed term by term in node order. A sum in another order, or
+		// of the weights divided once, could round differently and move
+		// a comparison below.
+		var even [numResKinds]float64
+		for _, i := range resident {
+			even[nodes[i].kind] += nodes[i].weight / float64(ii)
 		}
 		// If uniform load alone exceeds a limit, II is infeasible.
 		feasible := true
 		for k, v := range even {
-			if v > float64(limits.limit(k)) {
+			if v > limit[k] {
 				feasible = false
 				break
 			}
@@ -107,48 +148,38 @@ func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg 
 			continue
 		}
 
-		units := map[resKind][]float64{}
-		slotUse := func(k resKind, s int) float64 {
-			u := units[k]
-			if s < len(u) {
-				return u[s]
+		for k, ok := range reserved {
+			if !ok {
+				continue
 			}
-			return 0
-		}
-		reserve := func(k resKind, s int) {
-			u := units[k]
-			for len(u) <= s {
-				u = append(u, 0)
+			if u := units[k]; cap(u) >= ii {
+				units[k] = u[:ii]
+				clear(units[k])
+			} else {
+				units[k] = make([]float64, ii, max(ii, 2*cap(u)))
 			}
-			u[s]++
-			units[k] = u
 		}
 
-		place := map[*ir.Instr]int{}
 		ok := true
 		depth := 0
-		for _, nd := range nodes {
+		for i := range nodes {
+			nd := &nodes[i]
 			est := nd.est
 			// Respect already-placed intra-block predecessors.
-			for _, a := range nd.in.Args {
-				if def, isInstr := a.(*ir.Instr); isInstr {
-					if p, placed := place[def]; placed {
-						if pn := byInstr[def]; pn != nil {
-							if t := p + pn.lat; t > est {
-								est = t
-							}
-						}
-					}
+			for _, p := range preds[first[i]:first[i+1]] {
+				if t := place[p] + nodes[p].lat; t > est {
+					est = t
 				}
 			}
 			t := est
 			if nd.kind != resNone && nd.weight <= 1.5 {
+				u := units[nd.kind]
 				found := false
 				for dt := 0; dt < ii; dt++ {
 					s := (est + dt) % ii
-					if slotUse(nd.kind, s)+1+even[nd.kind] <= float64(limits.limit(nd.kind))+1e-9 {
+					if u[s]+1+even[nd.kind] <= limit[nd.kind]+1e-9 {
 						t = est + dt
-						reserve(nd.kind, s)
+						u[s]++
 						found = true
 						break
 					}
@@ -158,7 +189,7 @@ func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg 
 					break
 				}
 			}
-			place[nd.in] = t
+			place[i] = t
 			if end := t + nd.lat; end > depth {
 				depth = end
 			}

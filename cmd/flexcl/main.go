@@ -8,6 +8,10 @@
 //	       [-global 4096] [-wg 64] [-pipeline] [-pe 4] [-cu 2]
 //	       [-mode barrier|pipeline] [-arg name=value]...
 //
+// The design must be one the platform can build: -pe in [1, MaxPE] and
+// -cu in [1, MaxCU] of the platform, -pe above 1 only with -pipeline,
+// and -wg at least 1. Anything else exits 1 before any analysis.
+//
 // Pointer arguments are bound to synthetic buffers sized from -global;
 // scalar arguments default to the global size and can be set explicitly
 // with -arg (a float parameter takes the value as a float).
@@ -69,6 +73,24 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	p, ok := device.Platforms()[*platform]
+	if !ok {
+		fatal(fmt.Errorf("unknown platform %q", *platform))
+	}
+	if *wg < 1 {
+		fatal(fmt.Errorf("wg %d must be at least 1", *wg))
+	}
+	d := model.Design{WGSize: *wg, WIPipeline: *pipeline, PE: *pe, CU: *cu}
+	switch *mode {
+	case "barrier":
+		d.Mode = model.ModeBarrier
+	case "pipeline":
+		d.Mode = model.ModePipeline
+	default:
+		fatal(fmt.Errorf("mode %q must be \"barrier\" or \"pipeline\"", *mode))
+	}
+	fatal(model.ValidateDesign(p, d))
+
 	src, err := os.ReadFile(*file)
 	fatal(err)
 
@@ -97,22 +119,10 @@ func main() {
 		}
 	}
 
-	p, ok := device.Platforms()[*platform]
-	if !ok {
-		fatal(fmt.Errorf("unknown platform %q", *platform))
-	}
-
 	launch := makeLaunch(f, *global, *wg, args)
 	an, err := model.Analyze(ctx, f, p, launch)
 	fatal(err)
 
-	d := model.Design{
-		WGSize: *wg, WIPipeline: *pipeline, PE: *pe, CU: *cu,
-		Mode: model.ModeBarrier,
-	}
-	if *mode == "pipeline" {
-		d.Mode = model.ModePipeline
-	}
 	_, msp := telemetry.Start(ctx, "model")
 	est := an.Predict(d)
 	msp.End()

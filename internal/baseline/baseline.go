@@ -19,7 +19,6 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/cdfg"
 	"repro/internal/device"
 	"repro/internal/ir"
 	"repro/internal/model"
@@ -44,9 +43,7 @@ func SDAccel(a *model.Analysis, d model.Design) (float64, error) {
 	freq := conservativeFreq(a)
 	depth := 0.0
 	for _, b := range a.F.Blocks {
-		w := freq[b]
-		st := sched.ScheduleBlock(b, scfg)
-		depth += w * float64(st.Length)
+		depth += freq[b] * float64(sched.ScheduleBlock(b, scfg))
 	}
 	if depth < 1 {
 		depth = 1
@@ -129,7 +126,7 @@ func conservativeFreq(a *model.Analysis) map[*ir.Block]float64 {
 	// function: concurrent design-point workers all estimate against the
 	// same Analysis.
 	a.F.EnsureLoops()
-	freq := cdfg.EffectiveFreq(a.F, 12)
+	freq := sched.EffectiveFreq(a.F, 12)
 	idom := a.F.Dominators()
 	for _, b := range a.F.Blocks {
 		depth := 0

@@ -3,7 +3,6 @@ package baseline
 import (
 	"math"
 
-	"repro/internal/cdfg"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
@@ -15,13 +14,12 @@ import (
 // The §4.3 comparison shows why exhaustive search over such a model gets
 // stuck: it cannot rank designs whose difference is memory behaviour.
 func Coarse(a *model.Analysis, d model.Design) float64 {
-	scfg := &sched.Config{Table: a.Table, Res: sdaccelResources(a.Platform)}
-	freq := cdfg.EffectiveFreq(a.F, 16)
+	g := sched.Build(a.F, nil, &sched.Config{Table: a.Table, Res: sdaccelResources(a.Platform)})
 	work := 0.0
 	for _, b := range a.F.Blocks {
-		work += freq[b] * float64(len(b.Instrs))
+		work += g.Freq[b] * float64(len(b.Instrs))
 	}
-	depth := float64(sched.SerialDepth(a.F, freq, scfg))
+	depth := float64(g.SerialDepth())
 	perWI := work
 	if d.WIPipeline {
 		perWI = work / 8 // flat pipelining speedup, no II modelling

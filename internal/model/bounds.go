@@ -78,7 +78,7 @@ func (a *Analysis) DesignBounds(peVals, cuVals []int) DesignBounds {
 	first := true
 	for _, pe := range peVals {
 		for _, cu := range cuVals {
-			res := peResources(a.Platform, Design{PE: pe, CU: cu})
+			res := PEResources(a.Platform, Design{PE: pe, CU: cu})
 			r, sd := a.pipelined(res), a.serialDepth(res)
 			if first {
 				b.PipeII, b.PipeDepth, b.SerialDepth = r.II, r.Depth, sd

@@ -8,6 +8,7 @@ package model
 import (
 	"fmt"
 
+	"repro/internal/device"
 	"repro/internal/ir"
 )
 
@@ -54,6 +55,22 @@ func (d Design) String() string {
 		p = "wi"
 	}
 	return fmt.Sprintf("wg%d/pipe=%s/pe%d/cu%d/%s", d.WGSize, p, d.PE, d.CU, d.Mode)
+}
+
+// ValidateDesign reports whether the platform can build d's parallelism:
+// PE in [1, p.MaxPE], CU in [1, p.MaxCU], and PE replication only with
+// work-item pipelining, since parallel PEs share the pipeline control.
+func ValidateDesign(p *device.Platform, d Design) error {
+	if d.PE < 1 || d.PE > p.MaxPE {
+		return fmt.Errorf("pe %d out of range [1, %d]", d.PE, p.MaxPE)
+	}
+	if d.CU < 1 || d.CU > p.MaxCU {
+		return fmt.Errorf("cu %d out of range [1, %d]", d.CU, p.MaxCU)
+	}
+	if d.PE > 1 && !d.WIPipeline {
+		return fmt.Errorf("pe %d requires wi_pipeline (parallel PEs share the pipeline control)", d.PE)
+	}
+	return nil
 }
 
 // EffectiveMode returns the communication mode actually synthesizable for

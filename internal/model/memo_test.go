@@ -8,25 +8,25 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/cdfg"
 	"repro/internal/device"
+	"repro/internal/ir"
 	"repro/internal/sched"
 )
 
 // referencePredict is PredictWith without the schedule memo: it
-// rebuilds the CDFG and reruns SMS (pipelined) or SerialDepth (serial),
-// and Totals, then applies the same Eq. 5–12 arithmetic once per
-// ablation. No ablation changes the schedule, so one sequence serves
-// them all.
+// rebuilds the schedule graph and reruns SMS (pipelined) or
+// serialDepthReference (serial), and Totals, then applies the same
+// Eq. 5–12 arithmetic once per ablation. No ablation changes the
+// schedule, so one sequence serves them all.
 func referencePredict(a *Analysis, d Design, abs []Ablations) []*Estimate {
-	scfg := &sched.Config{Table: a.Table, Res: peResources(a.Platform, d)}
-	g := cdfg.Build(a.F, a.Freq, scfg)
+	scfg := &sched.Config{Table: a.Table, Res: PEResources(a.Platform, d)}
+	g := sched.Build(a.F, a.Freq, scfg)
 	var r *sched.PipelineResult
 	depth := 0
 	if d.WIPipeline {
-		r = sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
+		r = g.SMS()
 	} else {
-		depth = sched.SerialDepth(a.F, g.Freq, scfg)
+		depth = serialDepthReference(a.F, g.Freq, scfg)
 	}
 	tot := sched.Totals(a.F, a.Freq, scfg)
 	out := make([]*Estimate, len(abs))
@@ -45,6 +45,27 @@ func referencePredict(a *Analysis, d Design, abs []Ablations) []*Estimate {
 		out[i] = e
 	}
 	return out
+}
+
+// serialDepthReference is the non-pipelined work-item latency summed
+// from scratch: freq × ScheduleBlock over the blocks, a block absent
+// from freq counting once.
+func serialDepthReference(f *ir.Func, freq map[*ir.Block]float64, cfg *sched.Config) int {
+	total := 0.0
+	for _, b := range f.Blocks {
+		w, ok := freq[b]
+		if !ok {
+			w = 1
+		}
+		if w <= 0 {
+			continue
+		}
+		total += w * float64(sched.ScheduleBlock(b, cfg))
+	}
+	if total < 1 {
+		return 1
+	}
+	return int(math.Ceil(total))
 }
 
 func analyzeKernel(tb testing.TB, k *bench.Kernel, p *device.Platform, wg int64) *Analysis {
@@ -212,7 +233,8 @@ func TestWarmPredictAllocs(t *testing.T) {
 // BenchmarkPredict times one prediction of a pipelined design: warm on
 // an analysis whose schedule table is filled, and fresh on a new
 // Analysis literal over the same fields each iteration, which pays the
-// CDFG build, SMS and totals the table saves. Run it on demand with
+// schedule graph's build, SMS and totals the table saves. Run it on
+// demand with
 //
 //	go test -run '^$' -bench BenchmarkPredict -benchmem ./internal/model
 func BenchmarkPredict(b *testing.B) {

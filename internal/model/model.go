@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cdfg"
 	"repro/internal/device"
 	"repro/internal/dram"
 	"repro/internal/interp"
@@ -24,7 +23,7 @@ import (
 //
 // An Analysis memoizes the design-independent part of a prediction. The
 // PE schedule (SMS result and serial depth) depends on the design only
-// through the sched.Resources that peResources derives from it, so it is
+// through the sched.Resources that PEResources derives from it, so it is
 // kept in a table keyed by those resources, and the operation totals,
 // which depend on no design parameter, are computed once. The memo is
 // unexported and never persisted: a zero-value or literal Analysis
@@ -57,7 +56,7 @@ type Analysis struct {
 // results. The schedule depends on the design only through the PE's
 // sched.Resources, which take one or two distinct values over a
 // platform's whole PE×CU lattice. Any PE and CU, even outside the
-// lattice, vary only DSPSlots, which peResources clamps to 1–16, so the
+// lattice, vary only DSPSlots, which PEResources clamps to 1–16, so the
 // table never exceeds 16 entries.
 type schedMemo struct {
 	mu      sync.Mutex
@@ -71,8 +70,8 @@ type schedMemo struct {
 // result pipelined designs read and the serial depth re-issued PEs read.
 // Each is filled by the first prediction that needs it, so a cold
 // prediction schedules no more than a per-call one would: a serial one
-// builds the CDFG and sums its block lengths, a pipelined one builds the
-// CDFG and runs SMS, recording the serial depth on the way.
+// builds the sched.Graph and sums its block lengths, a pipelined one
+// builds the graph and runs SMS, recording the serial depth on the way.
 type schedEntry struct {
 	res        sched.Resources
 	pipeOnce   sync.Once
@@ -101,9 +100,8 @@ func (m *schedMemo) entry(res sched.Resources) *schedEntry {
 func (a *Analysis) pipelined(res sched.Resources) *sched.PipelineResult {
 	e := a.memo.entry(res)
 	e.pipeOnce.Do(func() {
-		scfg := &sched.Config{Table: a.Table, Res: res}
-		g := cdfg.Build(a.F, a.Freq, scfg)
-		e.pipe = *sched.SMS(a.F, g.Freq, g.BlockOffsets, scfg)
+		g := sched.Build(a.F, a.Freq, &sched.Config{Table: a.Table, Res: res})
+		e.pipe = *g.SMS()
 		e.serialOnce.Do(func() { e.serial = g.SerialDepth() })
 	})
 	return &e.pipe
@@ -113,7 +111,7 @@ func (a *Analysis) pipelined(res sched.Resources) *sched.PipelineResult {
 func (a *Analysis) serialDepth(res sched.Resources) int {
 	e := a.memo.entry(res)
 	e.serialOnce.Do(func() {
-		e.serial = cdfg.Build(a.F, a.Freq, &sched.Config{Table: a.Table, Res: res}).SerialDepth()
+		e.serial = sched.Build(a.F, a.Freq, &sched.Config{Table: a.Table, Res: res}).SerialDepth()
 	})
 	return e.serial
 }
@@ -333,30 +331,42 @@ func (e *Estimate) Clone() *Estimate {
 	return &c
 }
 
-// peResources derives the scheduler's per-PE issue limits from the
+// PEResources derives the scheduler's per-PE issue limits from the
 // platform and the design's parallelism: local ports and DSP cores are
-// CU-level resources shared by the replicated PEs.
-func peResources(p *device.Platform, d Design) sched.Resources {
-	dspPerCU := p.DSPTotal / maxInt(1, d.CU)
+// CU-level resources shared by the replicated PEs. The simulator reads
+// the same limits: the hardware is the same, only latencies differ.
+func PEResources(p *device.Platform, d Design) sched.Resources {
+	dspPerCU := p.DSPTotal / max(1, d.CU)
 	// A DSP-backed core costs ≈3–4 slices; each PE can sustain a bounded
 	// number of concurrent DSP issues.
-	dspSlots := dspPerCU / (4 * maxInt(1, d.PE))
-	if dspSlots > 16 {
-		dspSlots = 16
-	}
+	dspSlots := min(dspPerCU/(4*max(1, d.PE)), 16)
 	return sched.Resources{
-		LocalRead:  maxInt(1, p.LocalReadPorts()),
-		LocalWrite: maxInt(1, p.LocalWritePorts()),
+		LocalRead:  max(1, p.LocalReadPorts()),
+		LocalWrite: max(1, p.LocalWritePorts()),
 		Global:     2,
-		DSPSlots:   maxInt(1, dspSlots),
+		DSPSlots:   max(1, dspSlots),
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// EffectivePE is Eq. 6, the effective PE parallelism: the design's P
+// replicas share the CU's local-memory ports res and its DSP budget, so
+// the operation totals tot cap how many run at once. (The printed
+// equation's ⌈Port/(N·P)⌉ terms degenerate to 1 for any realistic P; we
+// implement the evident intent Port/N capped by P.)
+func EffectivePE(p *device.Platform, d Design, res sched.Resources, tot sched.FuncTotals) int {
+	n := d.PE
+	if tot.LocalReads >= 1 {
+		n = min(n, max(1, int(float64(res.LocalRead)/tot.LocalReads)))
 	}
-	return b
+	if tot.LocalWrites >= 1 {
+		n = min(n, max(1, int(float64(res.LocalWrite)/tot.LocalWrites)))
+	}
+	if tot.DSPOps >= 1 {
+		dspPerCU := p.DSPTotal / max(1, d.CU)
+		cores := float64(dspPerCU) / (tot.DSPOps * 4)
+		n = min(n, max(1, int(cores)))
+	}
+	return n
 }
 
 // Ablations disable individual model components for the sensitivity
@@ -382,9 +392,9 @@ func (a *Analysis) Predict(d Design) *Estimate {
 // PredictWith evaluates the model with selected components disabled.
 func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
 	e := &Estimate{Design: d, Mode: EffectiveMode(a.F, d)}
-	res := peResources(a.Platform, d)
+	res := PEResources(a.Platform, d)
 
-	// Computation model: CDFG depth + work-item pipeline schedule.
+	// Computation model: work-item pipeline schedule or serial depth.
 	if d.WIPipeline {
 		r := a.pipelined(res)
 		e.IIComp, e.Depth = r.II, r.Depth
@@ -407,22 +417,8 @@ func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
 func (a *Analysis) evaluate(e *Estimate, ab Ablations, res sched.Resources, tot sched.FuncTotals) {
 	d := e.Design
 
-	// Eq. 6 — effective PE parallelism: the P replicas share the CU's
-	// local-memory ports and DSP budget. (The printed equation's
-	// ⌈Port/(N·P)⌉ terms degenerate to 1 for any realistic P; we
-	// implement the evident intent Port/N capped by P.)
-	e.NPE = d.PE
-	if tot.LocalReads >= 1 {
-		e.NPE = minInt(e.NPE, maxInt(1, int(float64(res.LocalRead)/tot.LocalReads)))
-	}
-	if tot.LocalWrites >= 1 {
-		e.NPE = minInt(e.NPE, maxInt(1, int(float64(res.LocalWrite)/tot.LocalWrites)))
-	}
-	if tot.DSPOps >= 1 {
-		dspPerCU := a.Platform.DSPTotal / maxInt(1, d.CU)
-		cores := float64(dspPerCU) / (tot.DSPOps * 4)
-		e.NPE = minInt(e.NPE, maxInt(1, int(cores)))
-	}
+	// Eq. 6 — effective PE parallelism.
+	e.NPE = EffectivePE(a.Platform, d, res, tot)
 
 	// Eq. 5 — compute-unit latency.
 	nwg := float64(d.WGSize)
@@ -504,11 +500,4 @@ func (a *Analysis) evaluate(e *Estimate, ab Ablations, res sched.Resources, tot 
 		e.Cycles = floor
 	}
 	e.Seconds = e.Cycles / (a.Platform.ClockMHz * 1e6)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cdfg"
 	"repro/internal/device"
 	"repro/internal/dram"
 	"repro/internal/interp"
@@ -93,34 +92,23 @@ func Simulate(f *ir.Func, p *device.Platform, cfg *interp.Config, d model.Design
 	scfg := &sched.Config{
 		Table:   device.Profile(p, 256),
 		Variant: variant,
-		Res:     peResources(p, d),
+		Res:     model.PEResources(p, d),
 	}
 
 	// Hardware schedule with exact latencies.
-	g := cdfg.Build(f, prof.BlockCounts, scfg)
+	g := sched.Build(f, prof.BlockCounts, scfg)
 	var iiSim, depthSim int
 	if d.WIPipeline {
-		sm := sched.SMS(f, g.Freq, g.BlockOffsets, scfg)
+		sm := g.SMS()
 		iiSim, depthSim = sm.II, sm.Depth
 	} else {
-		depthSim = sched.SerialDepth(f, g.Freq, scfg)
+		depthSim = g.SerialDepth()
 		iiSim = depthSim
 	}
 	r.IISim, r.DepthSim = iiSim, depthSim
 
 	// Effective PE parallelism under shared CU resources.
-	tot := sched.Totals(f, prof.BlockCounts, scfg)
-	nPE := d.PE
-	if tot.LocalReads >= 1 {
-		nPE = minInt(nPE, maxInt(1, int(float64(scfg.Res.LocalRead)/tot.LocalReads)))
-	}
-	if tot.LocalWrites >= 1 {
-		nPE = minInt(nPE, maxInt(1, int(float64(scfg.Res.LocalWrite)/tot.LocalWrites)))
-	}
-	if tot.DSPOps >= 1 {
-		dspPerCU := p.DSPTotal / maxInt(1, d.CU)
-		nPE = minInt(nPE, maxInt(1, int(float64(dspPerCU)/(tot.DSPOps*4))))
-	}
+	nPE := model.EffectivePE(p, d, scfg.Res, sched.Totals(f, prof.BlockCounts, scfg))
 	r.NPE = nPE
 
 	// Coalesce each work-group's accesses in pipeline issue order.
@@ -132,7 +120,7 @@ func Simulate(f *ir.Func, p *device.Platform, cfg *interp.Config, d model.Design
 	}
 
 	mem := dram.NewSim(p.DRAM)
-	cuFree := make([]int64, maxInt(1, d.CU))
+	cuFree := make([]int64, max(1, d.CU))
 	var lastDone int64
 
 	// Work-groups are dispatched by a serial scheduler that needs
@@ -210,42 +198,12 @@ func simulatePipelineWG(mem *dram.Sim, bursts []trace.Burst, nwi, start int64, i
 // computeWaves returns ⌈(nwi − nPE)/nPE⌉ clamped at 0 (Eq. 5's wave
 // count).
 func computeWaves(nwi int64, nPE int) int64 {
-	p := int64(maxInt(1, nPE))
+	p := int64(max(1, nPE))
 	w := (nwi - p + p - 1) / p
 	if w < 0 {
 		return 0
 	}
 	return w
-}
-
-// peResources mirrors the model's resource derivation (the hardware is
-// the same; only observed latencies differ).
-func peResources(p *device.Platform, d model.Design) sched.Resources {
-	dspPerCU := p.DSPTotal / maxInt(1, d.CU)
-	dspSlots := dspPerCU / (4 * maxInt(1, d.PE))
-	if dspSlots > 16 {
-		dspSlots = 16
-	}
-	return sched.Resources{
-		LocalRead:  maxInt(1, p.LocalReadPorts()),
-		LocalWrite: maxInt(1, p.LocalWritePorts()),
-		Global:     2,
-		DSPSlots:   maxInt(1, dspSlots),
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Seconds converts simulated cycles to wall time on the platform.

@@ -109,15 +109,6 @@ func analyzeAffine(v ir.Value, fwd map[*ir.Alloca]ir.Value, depth int) Affine {
 	return Affine{}
 }
 
-// AffineIndexOf exposes affine analysis for one memory instruction's index.
-func AffineIndexOf(f *ir.Func, in *ir.Instr) Affine {
-	fwd := forwardMap(f)
-	if len(in.Args) == 0 {
-		return Affine{}
-	}
-	return analyzeAffine(in.Args[0], fwd, 0)
-}
-
 // depPair is an inter-work-item dependence: work-item wi reads data that
 // work-item wi−Distance wrote.
 type depPair struct {
@@ -184,30 +175,28 @@ func interWIDeps(f *ir.Func) []depPair {
 // dependences: for each store→load pair with work-item distance d and
 // dependence-chain latency L, RecMII ≥ ceil(L/d) (Eq. 2 and [22, 23]).
 func RecMII(f *ir.Func, cfg *Config) int {
+	return recMII(f, cfg, nil)
+}
+
+// recMII is RecMII over the per-block ASAP times asap (by ir.Instr.ID)
+// of a Graph; a nil asap is derived here, only if a dependence needs it.
+func recMII(f *ir.Func, cfg *Config, asap []int) int {
 	deps := interWIDeps(f)
 	if len(deps) == 0 {
 		return 1
 	}
-	// Per-block unconstrained ASAP times for chain latency estimation.
-	asap := map[*ir.Instr]int{}
-	for _, b := range f.Blocks {
-		latOf := func(in *ir.Instr) int { return cfg.Latency(in) }
-		_, pred := blockDFG(b.Instrs, latOf)
-		times := make([]int, len(b.Instrs))
-		for i := range b.Instrs {
-			for _, e := range pred[i] {
-				if t := times[e.to] + e.delay; t > times[i] {
-					times[i] = t
-				}
-			}
-			asap[b.Instrs[i]] = times[i]
+	if asap == nil {
+		asap = make([]int, f.InstrIDs())
+		for _, b := range f.Blocks {
+			_, pred := blockDFG(b.Instrs, cfg.Latency)
+			asapTimes(b.Instrs, pred, asap)
 		}
 	}
 	mii := 1
 	for _, d := range deps {
 		var chain int
 		if d.Load.Blk == d.Store.Blk {
-			chain = asap[d.Store] + cfg.Latency(d.Store) - asap[d.Load]
+			chain = asap[d.Store.ID] + cfg.Latency(d.Store) - asap[d.Load.ID]
 		} else {
 			// Cross-block recurrence: approximate the chain by the two
 			// endpoint latencies plus one cycle of control transfer.
@@ -225,11 +214,13 @@ func RecMII(f *ir.Func, cfg *Config) int {
 
 // MII is Eq. 2: the lower bound on the work-item initiation interval.
 func MII(f *ir.Func, freq map[*ir.Block]float64, cfg *Config) (mii, rec, res int) {
-	rec = RecMII(f, cfg)
+	return miiOf(f, freq, cfg, nil)
+}
+
+// miiOf is MII over the ASAP times asap, derived when nil as recMII
+// does.
+func miiOf(f *ir.Func, freq map[*ir.Block]float64, cfg *Config, asap []int) (mii, rec, res int) {
+	rec = recMII(f, cfg, asap)
 	res = ResMII(Totals(f, freq, cfg), cfg.Res)
-	mii = rec
-	if res > mii {
-		mii = res
-	}
-	return mii, rec, res
+	return max(rec, res), rec, res
 }

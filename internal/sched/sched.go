@@ -1,9 +1,11 @@
 // Package sched implements the scheduling algorithms of FlexCL's
-// processing-element model (paper §3.3.1):
+// processing-element model (paper §3.2–3.3.1):
 //
 //   - a resource-aware, priority-ordered list scheduler (ASAP policy) that
 //     estimates the execution latency of each basic block under local
 //     memory port and DSP constraints;
+//   - the frequency-weighted critical path through the acyclic control
+//     flow graph, which gives each block its start offset (Build);
 //   - the minimum initiation interval MII = max(RecMII, ResMII), with
 //     RecMII derived from inter-work-item data dependences found by affine
 //     index analysis, and ResMII from Eq. 3–4;
@@ -110,20 +112,6 @@ func (r Resources) limit(k resKind) int {
 	}
 }
 
-// BlockStats is the result of scheduling one basic block.
-type BlockStats struct {
-	// Length is the schedule makespan in cycles.
-	Length int
-	// Issue maps instructions to their start cycles.
-	Issue map[*ir.Instr]int
-	// Resource usage counts within the block.
-	LocalReads   int
-	LocalWrites  int
-	GlobalLoads  int
-	GlobalStores int
-	DSPOps       int
-}
-
 // dfgEdge is a dependence with a latency delay.
 type dfgEdge struct {
 	to    int
@@ -205,25 +193,41 @@ func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]d
 	return succ, pred
 }
 
-// ScheduleBlock runs resource-aware list scheduling (ASAP with
-// critical-path priority) over one basic block and returns its latency
-// and resource statistics.
-func ScheduleBlock(b *ir.Block, cfg *Config) *BlockStats {
-	res := cfg.Res.Sane()
-	instrs := b.Instrs
-	n := len(instrs)
-	st := &BlockStats{Issue: make(map[*ir.Instr]int, n)}
-	if n == 0 {
-		return st
-	}
+// ScheduleBlock returns the list-scheduled length of one basic block in
+// cycles.
+func ScheduleBlock(b *ir.Block, cfg *Config) int {
+	succ, pred := blockDFG(b.Instrs, cfg.Latency)
+	_, length := listSchedule(b.Instrs, succ, pred, cfg)
+	return length
+}
 
-	latOf := func(in *ir.Instr) int { return cfg.Latency(in) }
-	succ, pred := blockDFG(instrs, latOf)
+// asapTimes writes each instruction's earliest start in its block,
+// ignoring resources, into at[in.ID]: pred holds only edges from earlier
+// instructions, so one forward pass settles every time.
+func asapTimes(instrs []*ir.Instr, pred [][]dfgEdge, at []int) {
+	for i, in := range instrs {
+		t := 0
+		for _, e := range pred[i] {
+			if v := at[instrs[e.to].ID] + e.delay; v > t {
+				t = v
+			}
+		}
+		at[in.ID] = t
+	}
+}
+
+// listSchedule runs resource-aware list scheduling (ASAP with
+// critical-path priority) over instrs, whose dependence graph is
+// succ/pred, and returns each instruction's start cycle and the
+// makespan.
+func listSchedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (start []int, length int) {
+	res := cfg.Res.Sane()
+	n := len(instrs)
 
 	// Priority: longest path to any sink (classic critical-path).
 	prio := make([]int, n)
 	for i := n - 1; i >= 0; i-- {
-		best := latOf(instrs[i])
+		best := cfg.Latency(instrs[i])
 		for _, e := range succ[i] {
 			if v := e.delay + prio[e.to]; v > best {
 				best = v
@@ -239,7 +243,7 @@ func ScheduleBlock(b *ir.Block, cfg *Config) *BlockStats {
 		remaining[i] = len(pred[i])
 	}
 	scheduled := make([]bool, n)
-	start := make([]int, n)
+	start = make([]int, n)
 
 	// Per-cycle resource usage tables grow on demand.
 	usage := map[resKind][]int{}
@@ -297,43 +301,21 @@ func ScheduleBlock(b *ir.Block, cfg *Config) *BlockStats {
 		cycle++
 	}
 
-	length := 0
 	for i, in := range instrs {
-		st.Issue[in] = start[i]
-		if end := start[i] + latOf(in); end > length {
+		if end := start[i] + cfg.Latency(in); end > length {
 			length = end
 		}
-		switch device.Classify(in) {
-		case device.ClassLocalLoad:
-			st.LocalReads++
-		case device.ClassLocalStore:
-			st.LocalWrites++
-		case device.ClassGlobalLoad:
-			st.GlobalLoads++
-		case device.ClassGlobalStore:
-			st.GlobalStores++
-		case device.ClassAtomic:
-			st.GlobalLoads++
-			st.GlobalStores++
-		}
-		if cfg.Table != nil && cfg.Table.DSPCost(device.Classify(in)) > 0 {
-			st.DSPOps++
-		}
 	}
-	st.Length = length
-	return st
+	return start, length
 }
 
 // FuncTotals aggregates frequency-weighted resource counts over the whole
 // work-item (N_read, N_write etc. of Eq. 4, where the counts are the
 // maxima over the work-item pipeline).
 type FuncTotals struct {
-	LocalReads   float64
-	LocalWrites  float64
-	GlobalLoads  float64
-	GlobalStores float64
-	DSPOps       float64
-	Instrs       float64
+	LocalReads  float64
+	LocalWrites float64
+	DSPOps      float64
 }
 
 // Totals computes frequency-weighted operation totals per work-item.
@@ -346,19 +328,11 @@ func Totals(f *ir.Func, freq map[*ir.Block]float64, cfg *Config) FuncTotals {
 			w = 1
 		}
 		for _, in := range b.Instrs {
-			t.Instrs += w
 			switch device.Classify(in) {
 			case device.ClassLocalLoad:
 				t.LocalReads += w
 			case device.ClassLocalStore:
 				t.LocalWrites += w
-			case device.ClassGlobalLoad:
-				t.GlobalLoads += w
-			case device.ClassGlobalStore:
-				t.GlobalStores += w
-			case device.ClassAtomic:
-				t.GlobalLoads += w
-				t.GlobalStores += w
 			}
 			if cfg.Table != nil && cfg.Table.DSPCost(device.Classify(in)) > 0 {
 				t.DSPOps += w

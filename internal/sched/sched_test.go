@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cdfg"
 	"repro/internal/device"
 	"repro/internal/ir"
 	"repro/internal/irgen"
@@ -49,16 +48,19 @@ __kernel void chain(__global float* x) {
 }`, "chain")
 	cfg := defaultCfg()
 	for _, b := range k.Blocks {
-		st := ScheduleBlock(b, cfg)
+		issue := map[*ir.Instr]int{}
+		for i, c := range IssueCycles(b, cfg) {
+			issue[b.Instrs[i]] = c
+		}
 		for _, in := range b.Instrs {
 			for _, arg := range in.Args {
 				def, ok := arg.(*ir.Instr)
 				if !ok || def.Blk != b {
 					continue
 				}
-				if st.Issue[in] < st.Issue[def]+cfg.Latency(def) && cfg.Latency(def) > 0 {
+				if issue[in] < issue[def]+cfg.Latency(def) && cfg.Latency(def) > 0 {
 					t.Errorf("%v issued at %d before %v completes at %d",
-						in, st.Issue[in], def, st.Issue[def]+cfg.Latency(def))
+						in, issue[in], def, issue[def]+cfg.Latency(def))
 				}
 			}
 		}
@@ -83,15 +85,13 @@ __kernel void cp(__global float* x) {
 			want += cfg.Latency(in)
 		}
 	}
-	st := ScheduleBlock(entry, cfg)
-	if st.Length < want {
-		t.Errorf("schedule length %d < critical chain %d", st.Length, want)
+	if got := ScheduleBlock(entry, cfg); got < want {
+		t.Errorf("schedule length %d < critical chain %d", got, want)
 	}
 }
 
-func TestResourceSerialization(t *testing.T) {
-	// 8 independent local loads with 1 read port must serialize.
-	k := compileKernel(t, `
+// lpKernel makes 8 independent local loads in one block.
+const lpKernel = `
 __kernel void lp(__global float* x) {
     __local float t[64];
     int i = get_local_id(0);
@@ -99,15 +99,19 @@ __kernel void lp(__global float* x) {
     barrier(CLK_LOCAL_MEM_FENCE);
     float s = t[0]+t[1]+t[2]+t[3]+t[4]+t[5]+t[6]+t[7];
     x[i] = s;
-}`, "lp")
+}`
+
+func TestResourceSerialization(t *testing.T) {
+	// 8 independent local loads with 1 read port must serialize.
+	k := compileKernel(t, lpKernel, "lp")
 	one := defaultCfg()
 	one.Res.LocalRead = 1
 	many := defaultCfg()
 	many.Res.LocalRead = 8
 	var lenOne, lenMany int
 	for _, b := range k.Blocks {
-		lenOne += ScheduleBlock(b, one).Length
-		lenMany += ScheduleBlock(b, many).Length
+		lenOne += ScheduleBlock(b, one)
+		lenMany += ScheduleBlock(b, many)
 	}
 	if lenOne <= lenMany {
 		t.Errorf("1-port schedule (%d) should exceed 8-port schedule (%d)", lenOne, lenMany)
@@ -127,9 +131,6 @@ __kernel void cnt(__global float* x) {
 	tot := Totals(k, nil, cfg)
 	if tot.LocalReads != 1 || tot.LocalWrites != 1 {
 		t.Errorf("local reads/writes = %v/%v, want 1/1", tot.LocalReads, tot.LocalWrites)
-	}
-	if tot.GlobalLoads != 1 || tot.GlobalStores != 1 {
-		t.Errorf("global loads/stores = %v/%v, want 1/1", tot.GlobalLoads, tot.GlobalStores)
 	}
 	if tot.DSPOps < 1 {
 		t.Errorf("DSP ops = %v, want >= 1 (fmul)", tot.DSPOps)
@@ -204,8 +205,7 @@ __kernel void maponly(__global int* b, __global const int* a) {
 	if recIndep != 1 {
 		t.Errorf("independent kernel RecMII = %d, want 1", recIndep)
 	}
-	gDep := cdfg.Build(dep, nil, cfg)
-	smsDep := SMS(dep, gDep.Freq, gDep.BlockOffsets, cfg)
+	smsDep := Build(dep, nil, cfg).SMS()
 	if smsDep.II < recDep {
 		t.Errorf("SMS II %d < RecMII %d", smsDep.II, recDep)
 	}
@@ -255,8 +255,7 @@ func TestSMSAtLeastMII(t *testing.T) {
 	for n, src := range srcs {
 		k := compileKernel(t, src, names[n])
 		cfg := defaultCfg()
-		g := cdfg.Build(k, nil, cfg)
-		r := SMS(k, g.Freq, g.BlockOffsets, cfg)
+		r := Build(k, nil, cfg).SMS()
 		if r.II < r.MII {
 			t.Errorf("%s: II %d < MII %d", names[n], r.II, r.MII)
 		}
@@ -275,10 +274,10 @@ __kernel void s(__global float* x) {
     x[i] = v;
 }`, "s")
 	cfg := defaultCfg()
-	g := cdfg.Build(k, nil, cfg)
-	serial := SerialDepth(k, g.Freq, cfg)
-	if serial < g.Depth/2 {
-		t.Errorf("serial depth %d should be near/above CDFG depth %d", serial, g.Depth)
+	g := Build(k, nil, cfg)
+	serial, pipelined := g.SerialDepth(), g.SMS().Depth
+	if serial < pipelined/2 {
+		t.Errorf("serial depth %d should be near/above pipelined depth %d", serial, pipelined)
 	}
 	if serial <= 0 {
 		t.Error("serial depth must be positive")
@@ -318,9 +317,9 @@ __kernel void det(__global float* x) {
     x[i] = a + b + c;
 }`, "det")
 	cfg := defaultCfg()
-	first := ScheduleBlock(k.Entry(), cfg).Length
+	first := ScheduleBlock(k.Entry(), cfg)
 	for n := 0; n < 10; n++ {
-		if got := ScheduleBlock(k.Entry(), cfg).Length; got != first {
+		if got := ScheduleBlock(k.Entry(), cfg); got != first {
 			t.Fatalf("nondeterministic schedule: %d vs %d", got, first)
 		}
 	}

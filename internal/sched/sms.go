@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/ir"
@@ -22,20 +21,21 @@ type PipelineResult struct {
 // MII, it attempts a modulo placement of every operation into a reservation
 // table of width II, increasing II until all resource constraints hold.
 //
-// offsets gives each block's start cycle along the CDFG schedule (computed
-// by package cdfg from frequency-weighted critical paths); freq gives each
-// block's average executions per work-item. Operations in straight-line
-// code (freq ≈ 1) reserve a specific modulo slot; operations inside loops
-// issue on every iteration and therefore load the reservation table
-// uniformly.
+// Each operation's earliest start is its block's offset along the
+// critical path plus its ASAP time in the block, both from Build; Freq
+// gives each block's average executions per work-item. Operations in
+// straight-line code (freq ≈ 1) reserve a specific modulo slot;
+// operations inside loops issue on every iteration and therefore load
+// the reservation table uniformly.
 //
 // The state of a candidate II is flat and reused by the next: the even
 // load is an array by resource kind, the reservation table one row of
 // length II per kind that straight-line operations reserve, and the
 // placements a slice by node position. Each node's dependences are the
 // positions of its arguments placed before it, found once per call.
-func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg *Config) *PipelineResult {
-	mii, rec, res := MII(f, freq, cfg)
+func (g *Graph) SMS() *PipelineResult {
+	f, cfg := g.Func, g.cfg
+	mii, rec, res := miiOf(f, g.Freq, cfg, g.asap)
 	r := &PipelineResult{MII: mii, RecMII: rec, ResMII: res}
 	limits := cfg.Res.Sane()
 
@@ -49,27 +49,17 @@ func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg 
 
 	var nodes []node
 	for _, b := range f.Blocks {
-		latOf := func(in *ir.Instr) int { return cfg.Latency(in) }
-		_, pred := blockDFG(b.Instrs, latOf)
-		times := make([]int, len(b.Instrs))
-		for i := range b.Instrs {
-			for _, e := range pred[i] {
-				if t := times[e.to] + e.delay; t > times[i] {
-					times[i] = t
-				}
-			}
-		}
-		w, ok := freq[b]
+		w, ok := g.Freq[b]
 		if !ok {
 			w = 1
 		}
-		off := offsets[b]
-		for i, in := range b.Instrs {
+		off := g.BlockOffsets[b]
+		for _, in := range b.Instrs {
 			if in.Op.IsTerminator() {
 				continue
 			}
 			nodes = append(nodes, node{
-				in: in, est: off + times[i], lat: latOf(in),
+				in: in, est: off + g.asap[in.ID], lat: cfg.Latency(in),
 				weight: w, kind: cfg.resourceOf(in),
 			})
 		}
@@ -207,26 +197,4 @@ func SMS(f *ir.Func, freq map[*ir.Block]float64, offsets map[*ir.Block]int, cfg 
 	r.II = mii
 	r.Depth = mii
 	return r
-}
-
-// SerialDepth estimates the non-pipelined work-item latency: the
-// frequency-weighted sum of block schedule lengths (every block executes
-// in sequence, loops repeat their bodies).
-func SerialDepth(f *ir.Func, freq map[*ir.Block]float64, cfg *Config) int {
-	total := 0.0
-	for _, b := range f.Blocks {
-		w, ok := freq[b]
-		if !ok {
-			w = 1
-		}
-		if w <= 0 {
-			continue
-		}
-		st := ScheduleBlock(b, cfg)
-		total += w * float64(st.Length)
-	}
-	if total < 1 {
-		return 1
-	}
-	return int(math.Ceil(total))
 }

@@ -3,7 +3,6 @@ package sched_test
 import (
 	"testing"
 
-	"repro/internal/cdfg"
 	. "repro/internal/sched"
 )
 
@@ -32,10 +31,8 @@ __kernel void manyreads(__global float* x) {
 	loose := defaultCfg()
 	loose.Res.LocalRead = 8
 
-	gT := cdfg.Build(k, nil, tight)
-	rT := SMS(k, gT.Freq, gT.BlockOffsets, tight)
-	gL := cdfg.Build(k, nil, loose)
-	rL := SMS(k, gL.Freq, gL.BlockOffsets, loose)
+	rT := Build(k, nil, tight).SMS()
+	rL := Build(k, nil, loose).SMS()
 
 	if rT.II < rT.MII || rL.II < rL.MII {
 		t.Fatalf("II below MII: tight %d/%d loose %d/%d", rT.II, rT.MII, rL.II, rL.MII)
@@ -63,8 +60,7 @@ __kernel void chain(__global float* x) {
     x[i] = v;
 }`, "chain")
 	cfg := defaultCfg()
-	g := cdfg.Build(k, nil, cfg)
-	r := SMS(k, g.Freq, g.BlockOffsets, cfg)
+	r := Build(k, nil, cfg).SMS()
 	// fmul(6+) + fadd(8+) + sqrt(28) + fdiv(28) alone exceed 70 cycles.
 	if r.Depth < 70 {
 		t.Errorf("depth %d too small for the serial chain", r.Depth)
@@ -86,8 +82,7 @@ __kernel void loopreads(__global float* x) {
 }`, "loopreads")
 	cfg := defaultCfg()
 	cfg.Res.LocalRead = 2
-	g := cdfg.Build(k, nil, cfg)
-	r := SMS(k, g.Freq, g.BlockOffsets, cfg)
+	r := Build(k, nil, cfg).SMS()
 	// 32 local reads / 2 ports = 16 minimum interval.
 	if r.II < 16 {
 		t.Errorf("II = %d, want >= 16 (32 reads over 2 ports)", r.II)

@@ -145,32 +145,20 @@ func ResolveDesign(k *bench.Kernel, p *device.Platform, dj Design) (model.Design
 	if dj.CU == 0 {
 		dj.CU = 1
 	}
-	if dj.PE < 1 || dj.PE > p.MaxPE {
-		return zero, Errf(CodeBadRequest, http.StatusBadRequest,
-			"pe %d out of range [1, %d]", dj.PE, p.MaxPE)
+	d := model.Design{WGSize: dj.WGSize, WIPipeline: dj.WIPipeline, PE: dj.PE, CU: dj.CU}
+	if err := model.ValidateDesign(p, d); err != nil {
+		return zero, Errf(CodeBadRequest, http.StatusBadRequest, "%v", err)
 	}
-	if dj.CU < 1 || dj.CU > p.MaxCU {
-		return zero, Errf(CodeBadRequest, http.StatusBadRequest,
-			"cu %d out of range [1, %d]", dj.CU, p.MaxCU)
-	}
-	if dj.PE > 1 && !dj.WIPipeline {
-		return zero, Errf(CodeBadRequest, http.StatusBadRequest,
-			"pe %d requires wi_pipeline (parallel PEs share the pipeline control)", dj.PE)
-	}
-	var mode model.CommMode
 	switch dj.Mode {
 	case "", "barrier":
-		mode = model.ModeBarrier
+		d.Mode = model.ModeBarrier
 	case "pipeline":
-		mode = model.ModePipeline
+		d.Mode = model.ModePipeline
 	default:
 		return zero, Errf(CodeBadRequest, http.StatusBadRequest,
 			"mode %q must be \"barrier\" or \"pipeline\"", dj.Mode)
 	}
-	return model.Design{
-		WGSize: dj.WGSize, WIPipeline: dj.WIPipeline, PE: dj.PE, CU: dj.CU,
-		Mode: mode,
-	}, nil
+	return d, nil
 }
 
 // DesignToWire renders a model.Design back into its wire form.

@@ -165,10 +165,13 @@ func TestPredictMalformed400(t *testing.T) {
 		"pe too big": {body: map[string]any{
 			"bench": "nn", "kernel": "nn",
 			"design": map[string]any{"wi_pipeline": true, "pe": 1024},
-		}, want: "out of range"},
+		}, want: "pe 1024 out of range [1, 16]"},
+		"cu too big": {body: map[string]any{
+			"bench": "nn", "kernel": "nn", "design": map[string]any{"cu": 9},
+		}, want: "cu 9 out of range [1, 4]"},
 		"pe without pipeline": {body: map[string]any{
 			"bench": "nn", "kernel": "nn", "design": map[string]any{"pe": 4},
-		}, want: "wi_pipeline"},
+		}, want: "pe 4 requires wi_pipeline (parallel PEs share the pipeline control)"},
 		"bad platform": {body: map[string]any{
 			"bench": "nn", "kernel": "nn", "platform": "stratix",
 		}, want: "unknown platform"},

@@ -123,6 +123,11 @@ func TestSurfaces(t *testing.T) {
 		{"flexcl-no-kernel", "flexcl", []string{"-file", "testdata/surfaces/nokernel.cl"}, 1, "no __kernel functions in testdata/surfaces/nokernel.cl"},
 		{"flexcl-unknown-kernel", "flexcl", []string{"-file", "testdata/surfaces/kernels.cl", "-kernel", "nosuch"}, 1, "kernel nosuch not found"},
 		{"flexcl-bench-unknown-exp", "flexcl-bench", []string{"-exp", "nosuch"}, 2, "table1"},
+		{"flexcl-cu-zero", "flexcl", []string{"-file", "testdata/surfaces/kernels.cl", "-cu", "0", "-sim"}, 1, "flexcl: cu 0 out of range [1, 4]"},
+		{"flexcl-pe-zero", "flexcl", []string{"-file", "testdata/surfaces/kernels.cl", "-pe", "0"}, 1, "flexcl: pe 0 out of range [1, 16]"},
+		{"flexcl-wg-zero", "flexcl", []string{"-file", "testdata/surfaces/kernels.cl", "-wg", "0"}, 1, "flexcl: wg 0 must be at least 1"},
+		{"flexcl-pe-without-pipeline", "flexcl", []string{"-file", "testdata/surfaces/kernels.cl", "-pe", "4", "-pipeline=false"}, 1, "flexcl: pe 4 requires wi_pipeline"},
+		{"flexcl-bad-mode", "flexcl", []string{"-file", "testdata/surfaces/kernels.cl", "-mode", "bogus"}, 1, `flexcl: mode "bogus" must be "barrier" or "pipeline"`},
 	}
 	for _, c := range errCases {
 		t.Run(c.name, func(t *testing.T) {

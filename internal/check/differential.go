@@ -50,12 +50,7 @@ func auditKernel(ctx context.Context, k *bench.Kernel, cache *dse.PrepCache, opt
 		if err != nil {
 			return res, err
 		}
-		var designs []model.Design
-		for _, d := range model.DefaultSpace(wg, p.MaxPE, p.MaxCU) {
-			if d.WGSize == wg {
-				designs = append(designs, d)
-			}
-		}
+		designs := model.WGSpace(nil, wg, p.MaxPE, p.MaxCU)
 
 		if families[FamilyInvariant] {
 			fs, checks, attributed := InvariantFindings(k.ID(), an, designs, dls)

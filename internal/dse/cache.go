@@ -176,11 +176,10 @@ func NewPrepCacheOpts(opts PrepCacheOptions) *PrepCache {
 	}
 }
 
-// entry returns the cache slot for one WG size, creating it if absent.
-// created reports whether this caller must run the fill; coalesced
-// reports that the entry existed but its fill was still in flight.
-func (c *PrepCache) entry(k *bench.Kernel, p *device.Platform, wg int64) (key prepKey, e *prepEntry, created, coalesced bool) {
-	key = prepKey{kernel: k.CacheKey(), wg: wg, platform: p.Name}
+// entry returns the cache slot for key, creating it if absent. created
+// reports whether this caller must run the fill; coalesced reports that
+// the entry existed but its fill was still in flight.
+func (c *PrepCache) entry(key prepKey) (e *prepEntry, created, coalesced bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
@@ -188,7 +187,7 @@ func (c *PrepCache) entry(k *bench.Kernel, p *device.Platform, wg int64) (key pr
 		e = &prepEntry{done: make(chan struct{})}
 		c.m[key] = e
 		c.stats.Misses++
-		return key, e, true, false
+		return e, true, false
 	}
 	c.stats.Hits++
 	select {
@@ -200,7 +199,7 @@ func (c *PrepCache) entry(k *bench.Kernel, p *device.Platform, wg int64) (key pr
 		coalesced = true
 		c.stats.Coalesced++
 	}
-	return key, e, false, coalesced
+	return e, false, coalesced
 }
 
 // run fills the entry with a full compile+analyze of one WG size; f,
@@ -472,14 +471,20 @@ func (c *PrepCache) prepare(ctx context.Context, k *bench.Kernel, p *device.Plat
 	entries = make([]*prepEntry, len(wgs))
 	own = make([]bool, len(wgs))
 	var jobs []*fillJob
-	for i := len(wgs) - 1; i >= 0; i-- { // WGSizes ascend: largest first
-		key, e, created, _ := c.entry(k, p, wgs[i])
+	// One kernel hash serves every WG size. WGSizes ascend: the loop
+	// creates the largest size's entry first.
+	kernel := k.CacheKey()
+	for i := len(wgs) - 1; i >= 0; i-- {
+		key := prepKey{kernel: kernel, wg: wgs[i], platform: p.Name}
+		e, created, _ := c.entry(key)
 		entries[i], own[i] = e, created
 		if created {
 			jobs = append(jobs, &fillJob{key: key, e: e, wg: wgs[i]})
 		}
 	}
-	c.fill(context.WithoutCancel(ctx), k, p, jobs, workers)
+	if len(jobs) > 0 {
+		c.fill(context.WithoutCancel(ctx), k, p, jobs, workers)
+	}
 	for _, e := range entries {
 		<-e.done
 		if e.err != nil && err == nil {
@@ -506,7 +511,8 @@ type PrepResult struct {
 // first the caller gets ctx's error immediately while the fill keeps
 // running in the background and lands in the cache for the retry.
 func (c *PrepCache) AnalysisContext(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64) (PrepResult, error) {
-	key, e, created, coalesced := c.entry(k, p, wg)
+	key := prepKey{kernel: k.CacheKey(), wg: wg, platform: p.Name}
+	e, created, coalesced := c.entry(key)
 	outcome := PrepCached
 	switch {
 	case created:

@@ -33,16 +33,14 @@ type Point struct {
 	Baseline float64
 }
 
-// Space enumerates the kernel's design space: work-group sizes within the
-// kernel's bounds × pipeline × PE × CU × communication mode.
+// Space enumerates the kernel's design space: each of its work-group
+// sizes (bench.Kernel.WGSizes, ascending) × pipeline × PE × CU ×
+// communication mode, listed by model.WGSpace.
 func Space(k *bench.Kernel, p *device.Platform) []model.Design {
-	var out []model.Design
-	for _, wg := range k.WGSizes() {
-		for _, d := range model.DefaultSpace(wg, p.MaxPE, p.MaxCU) {
-			if d.WGSize == wg {
-				out = append(out, d)
-			}
-		}
+	wgs := k.WGSizes()
+	out := make([]model.Design, 0, len(wgs)*model.WGSpaceLen(p.MaxPE, p.MaxCU))
+	for _, wg := range wgs {
+		out = model.WGSpace(out, wg, p.MaxPE, p.MaxCU)
 	}
 	return out
 }
@@ -153,65 +151,81 @@ func Explore(ctx context.Context, k *bench.Kernel, opts Options) (*Result, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Phase 2 reads the entries phase 1 holds, so a sweep makes one
-	// cache lookup per WG size, and an eviction in between cannot
-	// trigger a second fill.
-	prepOf := make(map[int64]*prepEntry, len(wgs))
-	for i, wg := range wgs {
-		prepOf[wg] = preps[i]
-	}
 
-	// Phase 2: fan the design points out over the workers. Each point is
-	// independent given its WG size's analysis; results land in their
-	// slot by index so the output order matches the serial exploration.
+	// Phase 2: predict every design point, sharded over the workers. The
+	// predictions are cheap and uniform, so workers claim them in chunks
+	// and each times its whole share once. Each point is written into
+	// its slot by index, so the output order matches the serial
+	// exploration at any worker count. A pruned design leaves its slot
+	// zero: every kept point has a WG size of at least 1.
 	designs := Space(k, p)
-	type slot struct {
-		pt   Point
-		keep bool
-	}
-	slots := make([]slot, len(designs))
-	var modelNanos, simNanos int64
+	pts := make([]Point, len(designs))
+	done := ctx.Done()
+	var modelNanos, simNanos atomic.Int64
 	_, sweepSpan := telemetry.Start(ctx, "sweep")
 	sweepSpan.Annotate("designs", fmt.Sprint(len(designs)))
-	runShards(workers, len(designs), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		d := designs[i]
-		e := prepOf[d.WGSize]
-		an := e.an
-		if opts.PruneInfeasible && !an.ResourceUsage(d).Feasible {
-			return
-		}
-		pt := Point{Design: d}
-
-		m0 := time.Now()
-		pt.Est = an.Predict(d).Cycles
-		atomic.AddInt64(&modelNanos, int64(time.Since(m0)))
-
-		if !opts.SkipBaseline {
-			if est, err := baseline.SDAccel(an, d); err == nil {
-				pt.Baseline = est
-			} else {
-				pt.Baseline = -1
-			}
-		}
-
-		if !opts.SkipActual {
-			s0 := time.Now()
-			sim, err := rtlsim.Simulate(e.f, p, k.Config(d.WGSize), d,
-				rtlsim.Options{MaxGroups: opts.SimMaxGroups, Ctx: ctx})
-			if err != nil {
-				if ctx.Err() == nil {
-					fail(fmt.Errorf("dse %s %v: %w", k.ID(), d, err))
-				}
+	var next atomic.Int64
+	runWorkers(workers, len(designs), func() {
+		t0 := time.Now()
+		defer func() { modelNanos.Add(int64(time.Since(t0))) }()
+		for {
+			lo := int(next.Add(predictChunk)) - predictChunk
+			if lo >= len(designs) {
 				return
 			}
-			pt.Actual = sim.Cycles
-			atomic.AddInt64(&simNanos, int64(time.Since(s0)))
+			for i := lo; i < min(lo+predictChunk, len(designs)); i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				d := designs[i]
+				an := prepOf(wgs, preps, d.WGSize).an
+				if opts.PruneInfeasible && !an.ResourceUsage(d).Feasible {
+					continue
+				}
+				pts[i] = Point{Design: d, Est: an.Predict(d).Cycles}
+			}
 		}
-		slots[i] = slot{pt: pt, keep: true}
 	})
+
+	// Phase 3: the SDAccel baseline and ground-truth simulation, each up
+	// to milliseconds per design, claimed one design at a time.
+	if !opts.SkipBaseline || !opts.SkipActual {
+		runShards(workers, len(pts), func(i int) {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			pt := &pts[i]
+			if pt.Design.WGSize == 0 {
+				return
+			}
+			d := pt.Design
+			e := prepOf(wgs, preps, d.WGSize)
+			if !opts.SkipBaseline {
+				if est, err := baseline.SDAccel(e.an, d); err == nil {
+					pt.Baseline = est
+				} else {
+					pt.Baseline = -1
+				}
+			}
+			if !opts.SkipActual {
+				s0 := time.Now()
+				sim, err := rtlsim.Simulate(e.f, p, k.Config(d.WGSize), d,
+					rtlsim.Options{MaxGroups: opts.SimMaxGroups, Ctx: ctx})
+				if err != nil {
+					if ctx.Err() == nil {
+						fail(fmt.Errorf("dse %s %v: %w", k.ID(), d, err))
+					}
+					return
+				}
+				pt.Actual = sim.Cycles
+				simNanos.Add(int64(time.Since(s0)))
+			}
+		})
+	}
 	sweepSpan.End()
 	if firstErr != nil {
 		return nil, firstErr
@@ -220,52 +234,73 @@ func Explore(ctx context.Context, k *bench.Kernel, opts Options) (*Result, error
 		return nil, err
 	}
 
-	res.Points = make([]Point, 0, len(designs))
-	for i := range slots {
-		if !slots[i].keep {
+	n := 0
+	for _, pt := range pts {
+		if pt.Design.WGSize == 0 {
 			continue
 		}
-		pt := slots[i].pt
 		if !opts.SkipBaseline && pt.Baseline < 0 {
 			res.BaselineFailures++
 		}
-		res.Points = append(res.Points, pt)
+		pts[n] = pt
+		n++
 	}
-	res.ModelTime = time.Duration(prepNanos + modelNanos)
-	res.SimTime = time.Duration(simNanos)
+	res.Points = pts[:n]
+	res.ModelTime = time.Duration(prepNanos + modelNanos.Load())
+	res.SimTime = time.Duration(simNanos.Load())
 	res.WallTime = time.Since(t0)
 	return res, nil
+}
+
+// predictChunk is how many consecutive design points an Explore worker
+// claims at a time for prediction.
+const predictChunk = 16
+
+// prepOf returns the entry of preps, prepared for wgs in order, that
+// holds WG size wg. Explore's later phases read the entries its prepare
+// phase holds, so a sweep makes one cache lookup per WG size, and an
+// eviction in between cannot trigger a second fill.
+func prepOf(wgs []int64, preps []*prepEntry, wg int64) *prepEntry {
+	for i, w := range wgs {
+		if w == wg {
+			return preps[i]
+		}
+	}
+	panic(fmt.Sprintf("dse: WG size %d is not in the sweep %v", wg, wgs))
+}
+
+// runWorkers runs work on min(workers, n) goroutines and joins them all
+// before returning; with one worker (or one item) it runs work on the
+// calling goroutine. work claims its items itself.
+func runWorkers(workers, n int, work func()) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		if n > 0 {
+			work()
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 }
 
 // runShards fans n items over min(workers, n) goroutines pulling indices
 // from a shared counter, and joins them all before returning (fn handles
 // cancellation itself by returning early).
 func runShards(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	runWorkers(workers, n, func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			fn(i)
 		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // AvgErrors returns the mean absolute relative error (percent) of the

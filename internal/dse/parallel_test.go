@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/device"
@@ -102,7 +104,7 @@ func TestBestActualModelOnly(t *testing.T) {
 
 // TestExploreCancel: a pre-cancelled context must abort the exploration
 // with the context error and without leaking goroutines (the worker
-// pool joins before ExploreContext returns).
+// pool joins before Explore returns).
 func TestExploreCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -110,6 +112,35 @@ func TestExploreCancel(t *testing.T) {
 	_, err := dse.Explore(ctx, k, dse.Options{SimMaxGroups: 2, Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestExploreCancelledMidSweep cancels a simulated sweep on a warm
+// cache, so the cancel lands after every prediction, while designs are
+// still being simulated: Explore returns context.Canceled and no
+// points, and leaves no goroutine behind.
+func TestExploreCancelledMidSweep(t *testing.T) {
+	k := bench.Find("nn", "nn")
+	cache := dse.NewPrepCache()
+	if _, err := dse.Explore(context.Background(), k, dse.Options{SkipActual: true, SkipBaseline: true, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	timer := time.AfterFunc(20*time.Millisecond, cancel)
+	defer timer.Stop()
+	t0 := time.Now()
+	r, err := dse.Explore(ctx, k, dse.Options{Cache: cache, Workers: 2})
+	if !errors.Is(err, context.Canceled) || r != nil {
+		t.Fatalf("Explore = %v, %v after %v; want nil, context.Canceled", r, err, time.Since(t0))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after a cancelled Explore, %d before", n, before)
 	}
 }
 

@@ -7,6 +7,7 @@ package model
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/device"
 	"repro/internal/ir"
@@ -84,38 +85,52 @@ func EffectiveMode(f *ir.Func, d Design) CommMode {
 	return d.Mode
 }
 
-// DefaultSpace enumerates the design space swept in §4: work-group sizes
-// × pipelining × PE parallelism × CU count × communication mode. Kernel
-// specs may restrict it further (e.g. reqd_work_group_size).
+// DefaultSpace enumerates the design space swept in §4 at the
+// work-group sizes 16, 32, … up to maxWG (just maxWG when it is below
+// 16), each listed by WGSpace. A kernel's own sweep (dse.Space) lists
+// its bench.Kernel.WGSizes instead.
 func DefaultSpace(maxWG int64, maxPE, maxCU int) []Design {
-	var wgs []int64
-	for wg := int64(16); wg <= maxWG; wg *= 2 {
-		wgs = append(wgs, wg)
+	if maxWG < 16 {
+		return WGSpace(nil, maxWG, maxPE, maxCU)
 	}
-	if len(wgs) == 0 {
-		wgs = []int64{maxWG}
-	}
-	pes := PEValues(maxPE)
-	cus := CUValues(maxCU)
 	var out []Design
-	for _, wg := range wgs {
-		for _, pipe := range []bool{false, true} {
-			for _, pe := range pes {
-				if !pipe && pe > 1 {
-					// PE replication without pipelining is not generated
-					// by the flow: parallel PEs share the pipeline
-					// control.
-					continue
-				}
-				for _, cu := range cus {
-					for _, mode := range []CommMode{ModeBarrier, ModePipeline} {
-						out = append(out, Design{
-							WGSize: wg, WIPipeline: pipe, PE: pe, CU: cu, Mode: mode,
-						})
-					}
-				}
+	for wg := int64(16); wg <= maxWG; wg *= 2 {
+		out = WGSpace(out, wg, maxPE, maxCU)
+	}
+	return out
+}
+
+// WGSpace appends to dst the designs of one work-group size, in the
+// order every exploration lists them: pipelining off then on, PE
+// ascending over PEValues (PE > 1 only when pipelined: the flow does
+// not replicate PEs without pipelining, since parallel PEs share the
+// pipeline control), CU ascending over CUValues, barrier then pipeline
+// mode. It appends WGSpaceLen(maxPE, maxCU) designs.
+func WGSpace(dst []Design, wg int64, maxPE, maxCU int) []Design {
+	for _, pipe := range [...]bool{false, true} {
+		for pe := 1; pe <= maxPE && (pipe || pe == 1); pe *= 2 {
+			for cu := 1; cu <= maxCU; cu *= 2 {
+				dst = append(dst,
+					Design{WGSize: wg, WIPipeline: pipe, PE: pe, CU: cu, Mode: ModeBarrier},
+					Design{WGSize: wg, WIPipeline: pipe, PE: pe, CU: cu, Mode: ModePipeline})
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// WGSpaceLen is the number of designs WGSpace lists at any one
+// work-group size: (1 serial + one pipelined per PE value) × CU values
+// × 2 modes, or none when no PE or CU value exists.
+func WGSpaceLen(maxPE, maxCU int) int {
+	pes, cus := powersOfTwo(maxPE), powersOfTwo(maxCU)
+	return (min(pes, 1) + pes) * cus * 2
+}
+
+// powersOfTwo counts the powers of two in [1, n].
+func powersOfTwo(n int) int {
+	if n < 1 {
+		return 0
+	}
+	return bits.Len(uint(n))
 }

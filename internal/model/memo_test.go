@@ -209,11 +209,16 @@ func costAnalysis(tb testing.TB, benchName, name string) *Analysis {
 	return analyzeKernel(tb, k, device.Virtex7(), wgs[len(wgs)-1])
 }
 
-var sinkEstimate *Estimate
+var (
+	sinkEstimate *Estimate
+	sinkCycles   float64
+)
 
 // TestWarmPredictAllocs guards the cost of a warm prediction: once the
 // schedule table holds the design's resource configuration, Predict is
-// Eq. 5–12 arithmetic whose one allocation is the returned Estimate.
+// Eq. 5–12 arithmetic whose one allocation is the returned Estimate, and
+// none when the caller only reads a field of it (Predict inlines, so
+// the Estimate stays on the caller's stack).
 func TestWarmPredictAllocs(t *testing.T) {
 	for _, c := range costKernels {
 		an := costAnalysis(t, c.bench, c.name)
@@ -226,7 +231,60 @@ func TestWarmPredictAllocs(t *testing.T) {
 			if allocs > 1 {
 				t.Errorf("%s/%s %v: warm Predict makes %.0f allocations, want ≤ 1", c.bench, c.name, d, allocs)
 			}
+			allocs = testing.AllocsPerRun(100, func() { sinkCycles = an.Predict(d).Cycles })
+			if allocs != 0 {
+				t.Errorf("%s/%s %v: warm Predict(d).Cycles makes %.0f allocations, want 0", c.bench, c.name, d, allocs)
+			}
 		}
+	}
+}
+
+// TestConcurrentColdPredict races the schedule memo's first fills: on
+// one cold analysis, 8 goroutines predict, each from its own offset,
+// pipelined and serial designs over 16 distinct sched.Resources (PE
+// values outside the platform's lattice, so the DSP slots take every
+// value from 16 down to 1). Every estimate must equal the memo-free
+// reference bitwise, and the table must end with one entry per
+// resource set. make race runs it under the race detector, where the
+// table publishes entries while other goroutines read it.
+func TestConcurrentColdPredict(t *testing.T) {
+	an := costAnalysis(t, "hotspot", "hotspot")
+	seen := map[sched.Resources]bool{}
+	var designs []Design
+	for pe := 1; pe <= 1024 && len(seen) < 16; pe++ {
+		d := Design{WGSize: an.WGSize, WIPipeline: true, PE: pe, CU: 1, Mode: ModePipeline}
+		if res := PEResources(an.Platform, d); !seen[res] {
+			seen[res] = true
+			serial := d
+			serial.WIPipeline, serial.Mode = false, ModeBarrier
+			designs = append(designs, d, serial)
+		}
+	}
+	if len(seen) != 16 {
+		t.Fatalf("found %d distinct resource sets, want 16", len(seen))
+	}
+	want := make([]*Estimate, len(designs))
+	for i, d := range designs {
+		want[i] = referencePredict(an, d, []Ablations{{}})[0]
+	}
+	shared := freshCopy(an)
+	var done sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		done.Add(1)
+		go func(w int) {
+			defer done.Done()
+			for n := range designs {
+				i := (n + w*len(designs)/8) % len(designs)
+				if diff := estimateDiff(shared.Predict(designs[i]), want[i]); diff != "" {
+					t.Errorf("goroutine %d %v: %s", w, designs[i], diff)
+					return
+				}
+			}
+		}(w)
+	}
+	done.Wait()
+	if n := len(*shared.memo.entries.Load()); n != len(seen) {
+		t.Errorf("schedule table holds %d entries for %d resource sets", n, len(seen))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/device"
 	"repro/internal/dram"
@@ -58,9 +59,12 @@ type Analysis struct {
 // platform's whole PE×CU lattice. Any PE and CU, even outside the
 // lattice, vary only DSPSlots, which PEResources clamps to 1–16, so the
 // table never exceeds 16 entries.
+//
+// Lookups read a published, immutable entry slice without locking; mu
+// only serializes adding an entry, which publishes a new slice.
 type schedMemo struct {
+	entries atomic.Pointer[[]*schedEntry] // entries are never removed
 	mu      sync.Mutex
-	entries []*schedEntry // guarded by mu; entries are never removed
 
 	totOnce sync.Once
 	tot     sched.FuncTotals
@@ -83,16 +87,36 @@ type schedEntry struct {
 // entry returns the table entry for res, adding an empty one on the
 // first lookup.
 func (m *schedMemo) entry(res sched.Resources) *schedEntry {
+	if e := m.find(res); e != nil {
+		return e
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.entries {
-		if e.res == res {
-			return e
+	if e := m.find(res); e != nil {
+		return e
+	}
+	var cur []*schedEntry
+	if p := m.entries.Load(); p != nil {
+		cur = *p
+	}
+	// A fresh slice: readers may still hold the published one.
+	next := append(make([]*schedEntry, 0, len(cur)+1), cur...)
+	e := &schedEntry{res: res}
+	next = append(next, e)
+	m.entries.Store(&next)
+	return e
+}
+
+// find returns the published entry for res, or nil.
+func (m *schedMemo) find(res sched.Resources) *schedEntry {
+	if p := m.entries.Load(); p != nil {
+		for _, e := range *p {
+			if e.res == res {
+				return e
+			}
 		}
 	}
-	e := &schedEntry{res: res}
-	m.entries = append(m.entries, e)
-	return e
+	return nil
 }
 
 // pipelined returns the SMS work-item pipeline schedule (Eq. 1–4) under
@@ -385,13 +409,25 @@ type Ablations struct {
 }
 
 // Predict evaluates the full analytical model for one design point.
+// It and PredictWith are small enough to inline, so a caller that only
+// reads fields of the result (an.Predict(d).Cycles) keeps the Estimate
+// on its stack: a warm prediction then allocates nothing.
 func (a *Analysis) Predict(d Design) *Estimate {
-	return a.PredictWith(d, Ablations{})
+	e := new(Estimate)
+	a.predict(e, d, Ablations{})
+	return e
 }
 
 // PredictWith evaluates the model with selected components disabled.
 func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
-	e := &Estimate{Design: d, Mode: EffectiveMode(a.F, d)}
+	e := new(Estimate)
+	a.predict(e, d, ab)
+	return e
+}
+
+// predict fills e with the prediction for d under ab.
+func (a *Analysis) predict(e *Estimate, d Design, ab Ablations) {
+	*e = Estimate{Design: d, Mode: EffectiveMode(a.F, d)}
 	res := PEResources(a.Platform, d)
 
 	// Computation model: work-item pipeline schedule or serial depth.
@@ -408,7 +444,6 @@ func (a *Analysis) PredictWith(d Design, ab Ablations) *Estimate {
 		e.IIComp, e.Depth = depth, depth
 	}
 	a.evaluate(e, ab, res, a.totals())
-	return e
 }
 
 // evaluate completes e, whose PE schedule (IIComp, Depth) is set, with

@@ -179,6 +179,14 @@ func TestDefaultSpaceComposition(t *testing.T) {
 			t.Errorf("non-pipelined multi-PE design generated: %v", d)
 		}
 	}
+	// WGSpaceLen counts what WGSpace lists, empty lattices included.
+	for maxPE := 0; maxPE <= 20; maxPE++ {
+		for maxCU := 0; maxCU <= 9; maxCU++ {
+			if got, want := len(model.WGSpace(nil, 64, maxPE, maxCU)), model.WGSpaceLen(maxPE, maxCU); got != want {
+				t.Errorf("maxPE %d maxCU %d: WGSpace lists %d designs, WGSpaceLen says %d", maxPE, maxCU, got, want)
+			}
+		}
+	}
 }
 
 func TestAblationsChangeEstimates(t *testing.T) {

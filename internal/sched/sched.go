@@ -16,7 +16,7 @@ package sched
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/ir"
@@ -123,10 +123,6 @@ type dfgEdge struct {
 // atomics acting as fences.
 func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]dfgEdge) {
 	n := len(instrs)
-	index := make(map[*ir.Instr]int, n)
-	for i, in := range instrs {
-		index[in] = i
-	}
 	succ := make([][]dfgEdge, n)
 	pred := make([][]dfgEdge, n)
 	add := func(from, to int) {
@@ -138,11 +134,27 @@ func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]d
 		pred[to] = append(pred[to], dfgEdge{to: from, delay: d})
 	}
 
-	// Def-use edges.
+	// Def-use edges. pos[id-lo] is the position of the block's
+	// instruction with ID id, or -1: IDs are dense per function, so the
+	// block's span of them bounds the table.
+	lo, hi := 0, -1
+	for i, in := range instrs {
+		if i == 0 || in.ID < lo {
+			lo = in.ID
+		}
+		hi = max(hi, in.ID)
+	}
+	pos := make([]int32, hi-lo+1)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, in := range instrs {
+		pos[in.ID-lo] = int32(i)
+	}
 	for i, in := range instrs {
 		for _, a := range in.Args {
-			if def, ok := a.(*ir.Instr); ok {
-				if j, here := index[def]; here && j < i {
+			if def, ok := a.(*ir.Instr); ok && def.ID >= lo && def.ID <= hi {
+				if j := int(pos[def.ID-lo]); j >= 0 && j < i {
 					add(j, i)
 				}
 			}
@@ -236,6 +248,19 @@ func listSchedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (star
 		prio[i] = best
 	}
 
+	// Candidates are taken highest priority first, then lowest index:
+	// a fixed order, so sort once and filter it every cycle.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if prio[a] != prio[b] {
+			return prio[b] - prio[a]
+		}
+		return a - b
+	})
+
 	// Earliest start from predecessors (updated as nodes are placed).
 	ready := make([]int, n) // earliest cycle by dependences
 	remaining := make([]int, n)
@@ -244,49 +269,34 @@ func listSchedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (star
 	}
 	scheduled := make([]bool, n)
 	start = make([]int, n)
+	cand := make([]int, 0, n)
 
-	// Per-cycle resource usage tables grow on demand.
-	usage := map[resKind][]int{}
-	usedAt := func(k resKind, t int) int {
-		u := usage[k]
-		if t < len(u) {
-			return u[t]
-		}
-		return 0
-	}
-	reserve := func(k resKind, t int) {
-		u := usage[k]
-		for len(u) <= t {
-			u = append(u, 0)
-		}
-		u[t]++
-		usage[k] = u
-	}
+	// Per-cycle resource usage by kind, grown on demand.
+	var usage [numResKinds][]int
 
 	placed := 0
 	cycle := 0
 	const maxCycles = 1 << 22
 	for placed < n && cycle < maxCycles {
-		// Collect ready nodes at this cycle, highest priority first.
-		var cand []int
-		for i := range instrs {
+		// Collect ready nodes at this cycle, in priority order.
+		cand = cand[:0]
+		for _, i := range order {
 			if !scheduled[i] && remaining[i] == 0 && ready[i] <= cycle {
 				cand = append(cand, i)
 			}
 		}
-		sort.Slice(cand, func(a, b int) bool {
-			if prio[cand[a]] != prio[cand[b]] {
-				return prio[cand[a]] > prio[cand[b]]
-			}
-			return cand[a] < cand[b]
-		})
 		for _, i := range cand {
 			k := cfg.resourceOf(instrs[i])
-			if k != resNone && usedAt(k, cycle) >= res.limit(k) {
-				continue // resource conflict; try next cycle
-			}
 			if k != resNone {
-				reserve(k, cycle)
+				u := usage[k]
+				if cycle >= len(u) {
+					u = append(u, make([]int, cycle+1-len(u))...)
+					usage[k] = u
+				}
+				if u[cycle] >= res.limit(k) {
+					continue // resource conflict; try next cycle
+				}
+				u[cycle]++
 			}
 			scheduled[i] = true
 			start[i] = cycle

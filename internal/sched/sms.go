@@ -47,7 +47,11 @@ func (g *Graph) SMS() *PipelineResult {
 		kind   resKind
 	}
 
-	var nodes []node
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	nodes := make([]node, 0, n)
 	for _, b := range f.Blocks {
 		w, ok := g.Freq[b]
 		if !ok {

@@ -472,6 +472,40 @@ func TestV2ExploreAndJob(t *testing.T) {
 	}
 }
 
+// TestV2ExploreInlineNonPowerWG: an inline kernel whose min_wg is not
+// 16·2^j explores every swept size's designs.
+func TestV2ExploreInlineNonPowerWG(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	resp, body := postJSON(t, ts.URL+"/v2/explore", map[string]any{
+		"kernel": map[string]any{
+			"source": `__kernel void scale(__global const float* x, __global float* y, int n) {
+	int i = get_global_id(0);
+	y[i] = x[i] * 2.0f + (float)n;
+}`,
+			"fn":      "scale",
+			"global":  []int64{96},
+			"scalars": map[string]int64{"n": 3},
+			"min_wg":  24,
+			"max_wg":  48,
+		},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	var acc api.JobAccepted
+	if err := json.Unmarshal(body, &acc); err != nil {
+		t.Fatal(err)
+	}
+	v := waitJob(t, ts.URL+acc.URL, time.Minute)
+	if v.State != JobDone {
+		t.Fatalf("job state = %s (err %q), want done", v.State, v.Error)
+	}
+	// WG sizes 24 and 48, 36 designs each on Virtex-7.
+	if v.Summary == nil || v.Summary.Points != 72 || v.Summary.Best == nil {
+		t.Fatalf("summary %+v, want 72 points and a best design", v.Summary)
+	}
+}
+
 // TestV2ExploreGuided: the v2-only "search" field runs the
 // branch-and-bound search and reports its evaluation accounting; the
 // pareto strategy additionally returns the frontier.

@@ -48,7 +48,7 @@ func main() {
 	)
 	flag.Parse()
 
-	p, ok := device.Platforms()[*platform]
+	p, ok := device.Lookup(*platform)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "flexcl-check: unknown platform %q\n", *platform)
 		os.Exit(1)

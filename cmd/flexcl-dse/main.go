@@ -58,7 +58,7 @@ func main() {
 		t.Write(os.Stdout)
 		return
 	}
-	p, ok := device.Platforms()[*platform]
+	p, ok := device.Lookup(*platform)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "flexcl-dse: unknown platform %q\n", *platform)
 		os.Exit(1)

@@ -73,7 +73,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	p, ok := device.Platforms()[*platform]
+	p, ok := device.Lookup(*platform)
 	if !ok {
 		fatal(fmt.Errorf("unknown platform %q", *platform))
 	}

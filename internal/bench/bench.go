@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -84,8 +85,17 @@ func (k *Kernel) ID() string { return k.Bench + "/" + k.Name }
 // SourceHash returns a stable hex digest of everything that determines
 // the kernel's compiled form — source text, entry point and macro
 // definitions — so caches keyed on it are invalidated the moment the
-// kernel text changes.
+// kernel text changes. A registered kernel's digest is computed once
+// per process (registryHashes); any other Kernel value, a by-value copy
+// of a registered one included, hashes on every call.
 func (k *Kernel) SourceHash() string {
+	if h, ok := registryHashes()[k]; ok {
+		return h.source
+	}
+	return k.sourceHash()
+}
+
+func (k *Kernel) sourceHash() string {
 	h := sha256.New()
 	h.Write([]byte(k.Fn))
 	h.Write([]byte{0})
@@ -111,10 +121,19 @@ func (k *Kernel) SourceHash() string {
 // with equal keys, even distinct allocations (e.g. inline kernels
 // submitted by different API requests carrying identical source and
 // launch), which is what lets a serving layer coalesce their
-// compile+analyze work.
+// compile+analyze work. Like SourceHash, it is computed once per
+// process for a registered kernel and on every call for any other.
 func (k *Kernel) CacheKey() string {
+	if h, ok := registryHashes()[k]; ok {
+		return h.cache
+	}
+	return k.cacheKey(k.sourceHash())
+}
+
+// cacheKey is CacheKey over the kernel's source hash src.
+func (k *Kernel) cacheKey(src string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|g=%v|2d=%v", k.SourceHash(), k.Global, k.TwoD)
+	fmt.Fprintf(h, "%s|g=%v|2d=%v", src, k.Global, k.TwoD)
 	for _, b := range k.Bufs {
 		fmt.Fprintf(h, "|b=%s,%v,%d,%d,%d,%d,%d", b.Name, b.Float, b.Kind, b.Len, b.Fill, b.Aux, b.Mod)
 	}
@@ -280,6 +299,22 @@ func makeBuf(b Buf) *interp.Buffer {
 
 var registry []*Kernel
 
+// kernelHashes is one kernel's SourceHash and CacheKey.
+type kernelHashes struct{ source, cache string }
+
+// registryHashes maps each registered kernel to its hashes, computed on
+// first use. The registry is complete once package init has run, and
+// its kernels are never modified after it, so the table cannot go
+// stale; a modified copy is a different pointer and misses it.
+var registryHashes = sync.OnceValue(func() map[*Kernel]kernelHashes {
+	m := make(map[*Kernel]kernelHashes, len(registry))
+	for _, k := range registry {
+		src := k.sourceHash()
+		m[k] = kernelHashes{source: src, cache: k.cacheKey(src)}
+	}
+	return m
+})
+
 func register(k *Kernel) {
 	if k.MinWG == 0 {
 		k.MinWG = 16
@@ -291,6 +326,8 @@ func register(k *Kernel) {
 }
 
 // All returns every registered kernel, Rodinia first, in stable order.
+// All, Find and FindID hand out the registry's own kernels: callers must
+// not modify them, and copy one by value to vary it.
 func All() []*Kernel {
 	out := make([]*Kernel, len(registry))
 	copy(out, registry)

@@ -229,3 +229,29 @@ func TestConfigDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryHashes: a registered kernel's SourceHash and CacheKey,
+// computed once per process, equal a fresh computation on a by-value
+// copy and cost no allocation; a copy with a changed launch gets its own
+// CacheKey.
+func TestRegistryHashes(t *testing.T) {
+	for _, k := range All() {
+		c := *k
+		if got, want := k.SourceHash(), c.SourceHash(); got != want {
+			t.Errorf("%s: SourceHash %s, fresh copy %s", k.ID(), got, want)
+		}
+		if got, want := k.CacheKey(), c.CacheKey(); got != want {
+			t.Errorf("%s: CacheKey %s, fresh copy %s", k.ID(), got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = k.SourceHash(), k.CacheKey() }); n != 0 {
+			t.Errorf("%s: hashing a registered kernel allocates %.0f times", k.ID(), n)
+		}
+		c.Global[0] *= 2
+		if c.CacheKey() == k.CacheKey() {
+			t.Errorf("%s: a copy with Global %v keeps the registered CacheKey", k.ID(), c.Global)
+		}
+		if c.SourceHash() != k.SourceHash() {
+			t.Errorf("%s: a copy with another Global changed its SourceHash", k.ID())
+		}
+	}
+}

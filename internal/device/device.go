@@ -13,6 +13,7 @@ package device
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -427,13 +428,32 @@ func AlveoU250() *Platform {
 	}
 }
 
-// Platforms returns the catalogue of known platforms by name.
-func Platforms() map[string]*Platform {
-	return map[string]*Platform{
-		"virtex7": Virtex7(),
-		"ku060":   KU060(),
-		"u250":    AlveoU250(),
+// catalogue holds the known platforms by name, built once per process.
+// Its platforms are shared by every caller and read-only by contract;
+// a caller that needs to modify one takes a fresh constructor value
+// (Virtex7, KU060, AlveoU250) instead.
+var catalogue = map[string]*Platform{
+	"virtex7": Virtex7(),
+	"ku060":   KU060(),
+	"u250":    AlveoU250(),
+}
+
+// Lookup returns the catalogue platform named name ("virtex7", "ku060"
+// or "u250"). Every call for one name returns the same platform, which
+// callers must not modify.
+func Lookup(name string) (*Platform, bool) {
+	p, ok := catalogue[name]
+	return p, ok
+}
+
+// PlatformNames returns the catalogue's names, sorted.
+func PlatformNames() []string {
+	names := make([]string, 0, len(catalogue))
+	for n := range catalogue {
+		names = append(names, n)
 	}
+	sort.Strings(names)
+	return names
 }
 
 // LatencyTable is a profiled average latency per operation class — the

@@ -9,11 +9,10 @@ import (
 )
 
 func TestPlatformCatalogue(t *testing.T) {
-	ps := Platforms()
-	if ps["virtex7"] == nil || ps["ku060"] == nil {
+	v7, ok := Lookup("virtex7")
+	if _, ok2 := Lookup("ku060"); !ok || !ok2 {
 		t.Fatal("platform catalogue incomplete")
 	}
-	v7 := ps["virtex7"]
 	if v7.ClockMHz != 200 {
 		t.Errorf("Virtex-7 clock = %v, want 200 MHz (§4.1)", v7.ClockMHz)
 	}
@@ -162,8 +161,8 @@ func TestOpInfoDefault(t *testing.T) {
 var _ = ast.KFloat // keep the ast import for buffer kinds used above
 
 func TestU250Catalogued(t *testing.T) {
-	p := Platforms()["u250"]
-	if p == nil {
+	p, ok := Lookup("u250")
+	if !ok {
 		t.Fatal("u250 missing from catalogue")
 	}
 	if p.ClockMHz <= Virtex7().ClockMHz {

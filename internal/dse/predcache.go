@@ -48,7 +48,7 @@ type PredCache struct {
 
 type predItem struct {
 	key string
-	est *model.Estimate
+	est model.Estimate
 }
 
 // NewPredCache returns an LRU prediction cache holding at most capacity
@@ -61,30 +61,28 @@ func NewPredCache(capacity int) *PredCache {
 	}
 }
 
-// Get returns a copy of the cached estimate for key and marks it most
-// recently used. Every call counts as a hit or a miss. The copy means a
-// caller mutating its result cannot corrupt the cached entry (or any
-// other caller's view of it).
-func (c *PredCache) Get(key string) (*model.Estimate, bool) {
+// Get returns the cached estimate for key and marks it most recently
+// used. Every call counts as a hit or a miss. Estimates are stored and
+// returned by value (model.Estimate is flat), so no caller shares the
+// cached entry.
+func (c *PredCache) Get(key string) (model.Estimate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.stats.Hits++
-		return el.Value.(*predItem).est.Clone(), true
+		return el.Value.(*predItem).est, true
 	}
 	c.stats.Misses++
-	return nil, false
+	return model.Estimate{}, false
 }
 
 // Put inserts (or refreshes) an entry, evicting the least recently used
-// entry when the cache is full. The cache stores its own copy, so later
-// mutation of est by the caller does not reach the cache.
-func (c *PredCache) Put(key string, est *model.Estimate) {
+// entry when the cache is full.
+func (c *PredCache) Put(key string, est model.Estimate) {
 	if c.cap <= 0 {
 		return
 	}
-	est = est.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

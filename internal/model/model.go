@@ -318,7 +318,9 @@ func (a *Analysis) Diff(b *Analysis) string {
 }
 
 // Estimate is the model's prediction for one design point, with the full
-// breakdown of intermediate quantities for inspection and reporting.
+// breakdown of intermediate quantities for inspection and reporting. It
+// is a flat value (no interior pointers), so a copy is independent:
+// dse.PredCache stores and returns estimates by value.
 type Estimate struct {
 	Design Design
 	Mode   CommMode // effective mode
@@ -341,18 +343,6 @@ type Estimate struct {
 	LCompKernel float64 // Eq. 7
 	Cycles      float64 // Eq. 10 or 11
 	Seconds     float64
-}
-
-// Clone returns an independent copy of the estimate. Estimate is a flat
-// value type (no interior pointers), so a shallow copy is a deep copy;
-// Clone exists so shared caches can hand out copies without aliasing
-// their stored entry (see dse.PredCache).
-func (e *Estimate) Clone() *Estimate {
-	if e == nil {
-		return nil
-	}
-	c := *e
-	return &c
 }
 
 // PEResources derives the scheduler's per-PE issue limits from the

@@ -54,9 +54,10 @@ func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
 		Scalars: ref.Scalars,
 	}
 
-	// Work-group sweep: default 16..256, clamped so every swept size
-	// divides the leading global dimension (the interp lays 1-D groups
-	// out along it) and never exceeds the total work-items.
+	// Work-group sweep: min_wg·2^j (default 16..256) for as long as the
+	// size stays within max_wg, divides the leading global dimension
+	// (the interp lays 1-D groups out along it) and does not exceed the
+	// total work-items.
 	k.MinWG, k.MaxWG = ref.MinWG, ref.MaxWG
 	if k.MinWG <= 0 {
 		k.MinWG = 16
@@ -64,14 +65,20 @@ func inlineKernel(ref KernelRef) (*bench.Kernel, *Error) {
 	if k.MaxWG <= 0 {
 		k.MaxWG = 256
 	}
-	for k.MaxWG > k.MinWG && (global[0]%k.MaxWG != 0 || k.MaxWG > k.NWI()) {
-		k.MaxWG /= 2
+	if k.MinWG > k.MaxWG {
+		return nil, Errf(CodeBadRequest, http.StatusBadRequest,
+			"inline kernel min_wg %d exceeds max_wg %d", k.MinWG, k.MaxWG)
 	}
 	if global[0]%k.MinWG != 0 {
 		return nil, Errf(CodeBadRequest, http.StatusBadRequest,
 			"inline kernel global[0] = %d is not divisible by the minimum work-group size %d (adjust global or min_wg)",
 			global[0], k.MinWG)
 	}
+	top := k.MinWG
+	for next := 2 * top; next <= k.MaxWG && global[0]%next == 0 && next <= k.NWI(); next *= 2 {
+		top = next
+	}
+	k.MaxWG = top
 
 	// One validation compile enumerates the parameters; the serving
 	// caches redo it per swept WG size under their own keys.

@@ -2,7 +2,6 @@ package api
 
 import (
 	"net/http"
-	"sort"
 	"strings"
 
 	"repro/internal/bench"
@@ -101,20 +100,16 @@ func ResolveKernel(ref KernelRef, fl Flavor) (*bench.Kernel, *Error) {
 }
 
 // ResolvePlatform maps a platform name ("" = virtex7) to its catalogue
-// entry and key.
+// entry and key. The platform is the process-wide catalogue's, shared by
+// every request and never modified.
 func ResolvePlatform(name string) (*device.Platform, string, *Error) {
 	if name == "" {
 		name = "virtex7"
 	}
-	p, ok := device.Platforms()[name]
+	p, ok := device.Lookup(name)
 	if !ok {
-		known := make([]string, 0, len(device.Platforms()))
-		for n := range device.Platforms() {
-			known = append(known, n)
-		}
-		sort.Strings(known)
 		return nil, "", Errf(CodeBadRequest, http.StatusBadRequest,
-			"unknown platform %q (known: %s)", name, strings.Join(known, ", "))
+			"unknown platform %q (known: %s)", name, strings.Join(device.PlatformNames(), ", "))
 	}
 	return p, name, nil
 }

@@ -95,8 +95,10 @@ func BenchmarkPredictUncoalesced(b *testing.B) {
 	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 }
 
-// BenchmarkServePredictHot measures the full HTTP round trip for a
-// prediction-cache hit — the latency floor of the interactive path.
+// BenchmarkServePredictHot measures predictCore on a prediction-cache
+// hit: hashing, the cache lookup and the bookkeeping around it, without
+// HTTP, decoding or encoding. BenchmarkPredictTraced measures the same
+// hit through a loopback round trip.
 func BenchmarkServePredictHot(b *testing.B) {
 	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	defer func() {
@@ -109,6 +111,7 @@ func BenchmarkServePredictHot(b *testing.B) {
 	if _, err := s.predictCore(context.Background(), laneInteractive, k, p, d); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.predictCore(context.Background(), laneInteractive, k, p, d); err != nil {

@@ -37,6 +37,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -445,12 +446,45 @@ type predictResponse struct {
 	Cached        bool       `json:"cached"`
 }
 
+// maxPooledBody caps the response buffers writeJSON keeps for reuse: a
+// buffer that grew past it is left to the garbage collector, so one
+// large body does not stay live for the life of the process.
+const maxPooledBody = 64 << 10
+
+// jsonBody is a reusable response buffer with its indenting encoder,
+// whose own indent buffer is reused along with it.
+type jsonBody struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBodies = sync.Pool{New: func() any {
+	b := new(jsonBody)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// writeJSON answers code with v encoded as indented JSON (HTML escaped,
+// with a trailing newline), sent with its Content-Length in one write.
+// A value that fails to encode answers code with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b := jsonBodies.Get().(*jsonBody)
+	defer func() {
+		if b.buf.Cap() <= maxPooledBody {
+			b.buf.Reset()
+			jsonBodies.Put(b)
+		}
+	}()
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if err := b.enc.Encode(v); err != nil {
+		w.WriteHeader(code)
+		return
+	}
+	h.Set("Content-Length", strconv.Itoa(b.buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b.buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -496,7 +530,9 @@ func decodeStrict(r io.Reader, v any) error {
 // predictOutcome is one computed (or recalled) estimate plus how it was
 // obtained.
 type predictOutcome struct {
-	est *model.Estimate
+	est model.Estimate
+	// sourceHash is the kernel's SourceHash.
+	sourceHash string
 	// cache ∈ {"pred", "prep", "coalesced", "miss"}; see
 	// api.PredictResult.Cache.
 	cache string
@@ -532,15 +568,16 @@ func (s *Server) predictErr(err error, timeout time.Duration) *api.Error {
 // immediately while an in-flight fill keeps running in the background
 // and lands in the cache for the retry.
 func (s *Server) predictCore(ctx context.Context, lane int, k *bench.Kernel, p *device.Platform, d model.Design) (predictOutcome, error) {
+	src := k.SourceHash()
 	telemetry.Annotate(ctx, "kernel", k.ID())
-	telemetry.Annotate(ctx, "source_hash", k.SourceHash())
+	telemetry.Annotate(ctx, "source_hash", src)
 	obs.AddField(ctx, "lane", laneName(lane))
 	key := k.CacheKey() + "|" + p.Name + "|" + d.String()
 	if est, ok := s.pred.Get(key); ok {
 		s.reg.Counter("predict_source_total", `source="pred"`).Inc()
 		telemetry.Annotate(ctx, "cache", "pred")
 		obs.AddField(ctx, "cache", "pred")
-		return predictOutcome{est: est, cache: "pred"}, nil
+		return predictOutcome{est: est, sourceHash: src, cache: "pred"}, nil
 	}
 	ll := fmt.Sprintf(`lane="%s"`, laneName(lane))
 	actx, asp := telemetry.Start(ctx, "admission")
@@ -569,7 +606,7 @@ func (s *Server) predictCore(ctx context.Context, lane int, k *bench.Kernel, p *
 		return predictOutcome{wait: wait}, err
 	}
 	_, msp := telemetry.Start(ctx, "model")
-	est := res.An.Predict(d)
+	est := *res.An.Predict(d)
 	msp.End()
 	s.pred.Put(key, est)
 	cache := "miss"
@@ -582,7 +619,7 @@ func (s *Server) predictCore(ctx context.Context, lane int, k *bench.Kernel, p *
 	telemetry.Annotate(ctx, "cache", cache)
 	obs.AddField(ctx, "cache", cache)
 	s.reg.Counter("predict_source_total", fmt.Sprintf(`source="%s"`, cache)).Inc()
-	return predictOutcome{est: est, cache: cache, wait: wait}, nil
+	return predictOutcome{est: est, sourceHash: src, cache: cache, wait: wait}, nil
 }
 
 // ---- v1 handlers (thin adapters over the v2 envelope) ----
@@ -627,7 +664,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 type kernelInfo = api.KernelInfo
 
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
-	p := device.Virtex7()
+	p, _ := device.Lookup("virtex7")
 	all := bench.All()
 	out := make([]kernelInfo, 0, len(all))
 	for _, k := range all {

@@ -352,27 +352,45 @@ func TestDebugHandler(t *testing.T) {
 }
 
 // benchPredict measures the full HTTP round trip of a warm (pred-LRU
-// hit) /v2/predict — the hot path TestTracingAllocs budgets.
+// hit) /v2/predict — the hot path TestTracingAllocs budgets — and of a
+// warm 16-item /v2/predict:batch. Each body is read to its end, so the
+// client keeps its connection alive as flexclclient does.
 func benchPredict(b *testing.B, traceCapacity int) {
 	s := New(Config{
 		Logger:        discardLogger(),
 		TraceCapacity: traceCapacity,
 	})
 	ts := newBenchServer(b, s)
-	body, _ := json.Marshal(tracePredictBody)
-	// Warm the pred LRU once.
-	resp, err := http.Post(ts.URL+"/v2/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(ts.URL+"/v2/predict", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp.Body.Close()
+	for _, arm := range []struct {
+		name, path string
+		body       any
+	}{
+		{"predict", "/v2/predict", tracePredictBody},
+		{"batch16", "/v2/predict:batch", warmBatchBody},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			body, err := json.Marshal(arm.body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			post := func() {
+				resp, err := http.Post(ts.URL+arm.path, "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("%s status = %d", arm.path, resp.StatusCode)
+				}
+			}
+			post() // warm the caches
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+		})
 	}
 }
 
@@ -380,7 +398,7 @@ func BenchmarkPredictTraced(b *testing.B)   { benchPredict(b, 256) }
 func BenchmarkPredictUntraced(b *testing.B) { benchPredict(b, -1) }
 
 // tracingAllocBudget is how many heap allocations tracing may add to
-// one warm /v2/predict. Measured with Go 1.24: +8 (204 vs 196), up to
+// one warm /v2/predict. Measured with Go 1.24: +8 (88 vs 80), up to
 // +11 under -race.
 const tracingAllocBudget = 16
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -15,21 +16,21 @@ import (
 // v1 adapters — only the wire shapes differ.
 
 // v2Predict resolves and executes one predict request on the given
-// admission lane. The request context carries the deadline; timeout is
-// the same budget by name, for failure messages.
-func (s *Server) v2Predict(r *http.Request, req api.PredictRequest, lane int, timeout time.Duration) (*api.PredictResult, *api.Error) {
+// admission lane. ctx carries the request's deadline; timeout is the
+// same budget by name, for failure messages.
+func (s *Server) v2Predict(ctx context.Context, req api.PredictRequest, lane int, timeout time.Duration) (*api.PredictResult, *api.Error) {
 	res, apiErr := api.ResolvePredict(req, api.V2)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	out, err := s.predictCore(r.Context(), lane, res.K, res.P, res.D)
+	out, err := s.predictCore(ctx, lane, res.K, res.P, res.D)
 	if err != nil {
 		return nil, s.predictErr(err, timeout)
 	}
 	est := out.est
 	return &api.PredictResult{
 		Kernel:        res.K.ID(),
-		SourceHash:    res.K.SourceHash(),
+		SourceHash:    out.sourceHash,
 		Platform:      res.PlatformKey,
 		Design:        api.DesignToWire(res.D),
 		EffectiveMode: est.Mode.String(),
@@ -50,7 +51,7 @@ func (s *Server) handleV2Predict(w http.ResponseWriter, r *http.Request) {
 			"bad request body: %v", err))
 		return
 	}
-	res, apiErr := s.v2Predict(r, req, laneInteractive, s.cfg.RequestTimeout)
+	res, apiErr := s.v2Predict(r.Context(), req, laneInteractive, s.cfg.RequestTimeout)
 	if apiErr != nil {
 		writeV2Err(w, apiErr)
 		return
@@ -93,7 +94,7 @@ func (s *Server) handleV2Batch(w http.ResponseWriter, r *http.Request) {
 			ictx, isp := telemetry.Start(r.Context(), "item")
 			isp.Annotate("index", fmt.Sprint(i))
 			defer isp.End()
-			res, apiErr := s.v2Predict(r.WithContext(ictx), item, laneBulk, s.cfg.BatchTimeout)
+			res, apiErr := s.v2Predict(ictx, item, laneBulk, s.cfg.BatchTimeout)
 			if apiErr != nil {
 				isp.Annotate("error", apiErr.Code)
 				resp.Items[i] = api.BatchItem{OK: false, Error: apiErr}

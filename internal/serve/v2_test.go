@@ -506,6 +506,46 @@ func TestV2ExploreInlineNonPowerWG(t *testing.T) {
 	}
 }
 
+// TestV2InlineMinWGLadder: an inline kernel whose min_wg is not a
+// power of two sweeps min_wg's own ladder. With min_wg 24 and global
+// [72] that is WG 24 alone: explore answers its 36 designs and predict
+// at 24 succeeds.
+func TestV2InlineMinWGLadder(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	kernel := map[string]any{
+		"source": `__kernel void scale(__global const float* x, __global float* y, int n) {
+	int i = get_global_id(0);
+	y[i] = x[i] * 2.0f + (float)n;
+}`,
+		"fn":      "scale",
+		"global":  []int64{72},
+		"scalars": map[string]int64{"n": 3},
+		"min_wg":  24,
+	}
+	resp, body := postJSON(t, ts.URL+"/v2/predict", map[string]any{
+		"kernel": kernel,
+		"design": map[string]any{"wg_size": 24},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict at WG 24: status = %d, body %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v2/explore", map[string]any{"kernel": kernel})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("explore status = %d, body %s", resp.StatusCode, body)
+	}
+	var acc api.JobAccepted
+	if err := json.Unmarshal(body, &acc); err != nil {
+		t.Fatal(err)
+	}
+	v := waitJob(t, ts.URL+acc.URL, time.Minute)
+	if v.State != JobDone {
+		t.Fatalf("job state = %s (err %q), want done", v.State, v.Error)
+	}
+	if v.Summary == nil || v.Summary.Points != 36 || v.Summary.Best == nil {
+		t.Fatalf("summary %+v, want 36 points and a best design", v.Summary)
+	}
+}
+
 // TestV2ExploreGuided: the v2-only "search" field runs the
 // branch-and-bound search and reports its evaluation accounting; the
 // pareto strategy additionally returns the frontier.

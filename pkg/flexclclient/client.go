@@ -389,9 +389,28 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, body []byte)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return nil, decodeError(resp, reqID)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("flexclclient: reading %s %s response: %w", method, url, err)
+	}
+	return raw, nil
+}
+
+// maxSizedBody bounds the Content-Length readBody trusts to size its
+// buffer up front.
+const maxSizedBody = 1 << 20
+
+// readBody reads a response body into one buffer of exactly its
+// Content-Length when the response declares one of at most
+// maxSizedBody bytes, and with io.ReadAll otherwise.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, raw); err != nil {
+		return nil, err
 	}
 	return raw, nil
 }

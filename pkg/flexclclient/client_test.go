@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"testing"
@@ -241,5 +242,37 @@ func TestClientEndToEndTraceFetch(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /debug/traces/%s = %d, want 200", id, resp.StatusCode)
+	}
+}
+
+// TestClientReusesConnection: the server sends its bodies with a
+// Content-Length, and reading one leaves the kept-alive connection
+// reusable for the next call.
+func TestClientReusesConnection(t *testing.T) {
+	c := newFixture(t, serve.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var reused []bool
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+	})
+	req := flexclclient.BatchPredictRequest{}
+	for pe := 1; pe <= 16; pe++ {
+		req.Items = append(req.Items, flexclclient.PredictRequest{
+			Kernel: flexclclient.KernelRef{ID: "hotspot/hotspot"},
+			Design: flexclclient.Design{WGSize: 64, WIPipeline: true, PE: pe, Mode: "pipeline"},
+		})
+	}
+	for i := 0; i < 3; i++ {
+		res, err := c.PredictBatch(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Succeeded != len(req.Items) {
+			t.Fatalf("batch: %d of %d items succeeded", res.Succeeded, len(req.Items))
+		}
+	}
+	if len(reused) != 3 || !reused[1] || !reused[2] {
+		t.Errorf("connection reuse per call = %v, want the first connection kept for the next two", reused)
 	}
 }

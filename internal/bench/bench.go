@@ -193,6 +193,22 @@ func (k *Kernel) Compile(wg int64) (*ir.Func, error) {
 	return f, nil
 }
 
+// SizeIndependent reports whether Compile gives the same code at every
+// work-group size. WG is the only define that differs between sizes, and
+// the lexer expands it only where the source spells the identifier: its
+// macros are object-like, without token pasting, a predefined macro
+// expands to an integer literal, and a directive's backslash-newline
+// becomes a space. So a source that never contains the text "WG" cannot
+// read the size, and neither can a kernel whose Defines set WG, which
+// override the predefinition. A source that names WG only in a comment
+// or inside a longer identifier is still called size-dependent.
+func (k *Kernel) SizeIndependent() bool {
+	if _, ok := k.Defines["WG"]; ok {
+		return true
+	}
+	return !strings.Contains(k.Source, "WG")
+}
+
 // Local returns the local size for a work-group size, splitting two
 // dimensions when the kernel is 2-D.
 func (k *Kernel) Local(wg int64) [3]int64 {

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -252,6 +255,82 @@ func TestRegistryHashes(t *testing.T) {
 		}
 		if c.SourceHash() != k.SourceHash() {
 			t.Errorf("%s: a copy with another Global changed its SourceHash", k.ID())
+		}
+	}
+}
+
+// TestSizeIndependentCompilesAlike pins the compile rule prep relies on
+// to compile a kernel once for its whole WG sweep. Every bundled and
+// generated kernel SizeIndependent accepts compiles to the same code at
+// every size of its sweep as at the largest, and the kernels it refuses
+// are exactly the ten whose source names WG.
+func TestSizeIndependentCompilesAlike(t *testing.T) {
+	var dependent []string
+	for _, k := range append(All(), GeneratedCorpus()...) {
+		if !k.SizeIndependent() {
+			dependent = append(dependent, k.ID())
+			continue
+		}
+		wgs := k.WGSizes()
+		largest, err := k.Compile(wgs[len(wgs)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wg := range wgs[:len(wgs)-1] {
+			f, err := k.Compile(wg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !largest.SameCode(f) {
+				t.Errorf("%s: called size-independent, but WG %d compiles to other code than WG %d", k.ID(), wg, wgs[len(wgs)-1])
+			}
+		}
+	}
+	want := []string{
+		"dwt2d/fdwt", "hotspot/hotspot", "hybridsort/prefix", "nw/nw1", "nw/nw2",
+		"particlefilter/sum", "pathfinder/dynproc", "srad/reduce",
+	}
+	if len(dependent) != len(want)+2 || !slices.Equal(dependent[:len(want)], want) {
+		t.Errorf("size-dependent kernels %v, want %v and two generated reductions", dependent, want)
+	}
+	for _, id := range dependent[len(want):] {
+		if !strings.HasPrefix(id, "gen/reduce") {
+			t.Errorf("generated kernel %s is size-dependent", id)
+		}
+	}
+}
+
+// TestSizeIndependentRule pins what the rule reads: the text WG
+// anywhere in the source, a comment or a longer identifier included,
+// keeps a kernel per-size, and Defines that set WG make it
+// size-independent.
+func TestSizeIndependentRule(t *testing.T) {
+	const body = "__kernel void k(__global float* a) {\n    int i = get_global_id(0);\n    %s\n}"
+	for _, c := range []struct {
+		name, src string
+		defines   map[string]string
+		want      bool
+	}{
+		{"no WG", fmt.Sprintf(body, "a[i] = 1.0f;"), nil, true},
+		{"reads WG", fmt.Sprintf(body, "a[i] = WG;"), nil, false},
+		{"WG in a comment", fmt.Sprintf(body, "a[i] = 1.0f; // one per WG"), nil, false},
+		{"WG in an identifier", fmt.Sprintf(body, "int NWG = 2; a[i] = NWG;"), nil, false},
+		{"Defines set WG", fmt.Sprintf(body, "a[i] = WG;"), map[string]string{"WG": "64"}, true},
+	} {
+		k := &Kernel{Bench: "rule", Name: "k", Fn: "k", Source: c.src, Defines: c.defines}
+		if got := k.SizeIndependent(); got != c.want {
+			t.Errorf("%s: SizeIndependent() = %v, want %v", c.name, got, c.want)
+		}
+		if !c.want {
+			continue
+		}
+		f16, err16 := k.Compile(16)
+		f256, err256 := k.Compile(256)
+		if err16 != nil || err256 != nil {
+			t.Fatalf("%s: %v, %v", c.name, err16, err256)
+		}
+		if !f16.SameCode(f256) {
+			t.Errorf("%s: size-independent, but WG 16 and 256 compile to other code", c.name)
 		}
 	}
 }

@@ -74,6 +74,10 @@ type PrepCache struct {
 	// failures and to block fills; a non-nil return aborts the fill
 	// with that error.
 	testFillHook func(k *bench.Kernel, wg int64) error
+	// testCompileHook, when non-nil, runs before every kernel compile a
+	// fill makes. Tests count compiles with it; set it before the first
+	// fill.
+	testCompileHook func(k *bench.Kernel, wg int64)
 }
 
 // DefaultPrepCapacity bounds completed entries when PrepCacheOptions
@@ -202,8 +206,8 @@ func (c *PrepCache) entry(key prepKey) (e *prepEntry, created, coalesced bool) {
 	return e, false, coalesced
 }
 
-// run fills the entry with a full compile+analyze of one WG size; f,
-// when non-nil, is the kernel already compiled at wg. It does not close
+// run fills j's entry with a full compile+analyze of its WG size; j.f,
+// when non-nil, is the kernel already compiled for it. It does not close
 // done — publish settles the entry's fate first, then releases waiters.
 // Callers must pass a context that cannot be cancelled
 // (context.WithoutCancel of the request, or context.Background()): the
@@ -211,23 +215,20 @@ func (c *PrepCache) entry(key prepKey) (e *prepEntry, created, coalesced bool) {
 // every coalesced waiter (and the retry after a 504) depends on. The
 // context still carries the creating request's trace, so the compile
 // and model-analysis spans attach to it.
-func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform, wg int64, f *ir.Func) {
+func (c *PrepCache) run(ctx context.Context, k *bench.Kernel, p *device.Platform, j *fillJob) {
+	e, wg, f := j.e, j.wg, j.f
 	t0 := time.Now()
 	if f == nil {
 		_, csp := telemetry.Start(ctx, "compile")
 		csp.Annotate("kernel", k.ID())
 		csp.Annotate("wg", fmt.Sprint(wg))
 		var err error
-		if f, err = k.Compile(wg); err != nil {
+		if f, err = c.compile(k, wg); err != nil {
 			csp.Annotate("error", err.Error())
 			csp.End()
 			e.err = err
 			return
 		}
-		// Freeze the loop analysis now, while this entry is still
-		// exclusive: afterwards the function is shared read-only by
-		// every concurrent Predict and Simulate.
-		f.EnsureLoops()
 		csp.End()
 	}
 	an, err := model.Analyze(ctx, f, p, k.Config(wg))
@@ -237,6 +238,21 @@ func (e *prepEntry) run(ctx context.Context, k *bench.Kernel, p *device.Platform
 	}
 	e.f, e.an = f, an
 	e.dur = time.Since(t0)
+}
+
+// compile compiles k at wg for a fill and freezes its loop analysis
+// while the function is still the fill's own: afterwards it is shared
+// read-only by concurrent fills and every Predict and Simulate.
+func (c *PrepCache) compile(k *bench.Kernel, wg int64) (*ir.Func, error) {
+	if c.testCompileHook != nil {
+		c.testCompileHook(k, wg)
+	}
+	f, err := k.Compile(wg)
+	if err != nil {
+		return nil, err
+	}
+	f.EnsureLoops()
+	return f, nil
 }
 
 // restore attempts the disk tier for job j and reports whether it
@@ -257,10 +273,9 @@ func (c *PrepCache) restore(ctx context.Context, k *bench.Kernel, p *device.Plat
 	sp.Annotate("kernel", k.ID())
 	sp.Annotate("wg", fmt.Sprint(j.wg))
 	defer sp.End()
-	f, err := k.Compile(j.wg)
+	f, err := c.compile(k, j.wg)
 	var an *model.Analysis
 	if err == nil {
-		f.EnsureLoops()
 		an, err = rec.Analysis(f, p)
 	}
 	if err != nil {
@@ -326,45 +341,53 @@ func (c *PrepCache) compute(ctx context.Context, k *bench.Kernel, p *device.Plat
 		return
 	}
 	runShards(workers, len(live), func(i int) {
-		j := live[i]
-		j.e.run(ctx, k, p, j.wg, j.f)
-		c.publish([]*fillJob{j}, 1)
+		c.run(ctx, k, p, live[i])
+		c.publish(live[i:i+1], 1)
 	})
 }
 
 // computeShared fills jobs (two or more misses of k, largest WG size
-// first) from one shared profile and reports whether it did. It
-// compiles every job's WG size; when they all compile to the same code,
+// first) from one shared profile and reports whether it did. A kernel
+// whose code cannot depend on its WG size (bench.Kernel.SizeIndependent)
+// is compiled once, and every job gets that function; any other is
+// compiled at every job's size. When they all hold the same code,
 // model.AnalyzeSweep profiles them with one run over the largest size's
 // profiled work-groups, split over workers, on the largest size's
 // buffers. Every entry then holds the largest size's function and a
 // share of the fill's wall time. It returns false, leaving each job its
 // compiled function, when a compile fails, the sizes compile to
 // different code, or the shared run declines or faults: the per-WG
-// fills then reproduce the reference results and errors.
+// fills then analyze those functions and reproduce the reference
+// results and errors.
 func (c *PrepCache) computeShared(ctx context.Context, k *bench.Kernel, p *device.Platform, jobs []*fillJob, workers int) bool {
 	t0 := time.Now()
 	_, csp := telemetry.Start(ctx, "compile")
 	csp.Annotate("kernel", k.ID())
 	csp.Annotate("wg_sizes", fmt.Sprint(len(jobs)))
+	compiled := jobs
+	if k.SizeIndependent() {
+		compiled = jobs[:1]
+	}
 	var failed atomic.Bool
-	runShards(workers, len(jobs), func(i int) {
-		f, err := k.Compile(jobs[i].wg)
+	runShards(workers, len(compiled), func(i int) {
+		f, err := c.compile(k, compiled[i].wg)
 		if err != nil {
 			failed.Store(true)
 			return
 		}
-		f.EnsureLoops()
-		jobs[i].f = f
+		compiled[i].f = f
 	})
 	csp.End()
+	f := jobs[0].f
+	for _, j := range jobs[len(compiled):] {
+		j.f = f
+	}
 	if failed.Load() {
 		return false
 	}
-	f := jobs[0].f
 	locals := make([][3]int64, len(jobs))
 	for i, j := range jobs {
-		if !f.SameCode(j.f) {
+		if j.f != f && !f.SameCode(j.f) {
 			return false
 		}
 		locals[i] = k.Local(j.wg)

@@ -402,22 +402,21 @@ func (w *wiState) loadElem(store ir.Storage, idx int64, t ast.Type) Val {
 	switch s := store.(type) {
 	case *ir.Param:
 		buf := w.cfg.Buffers[s.PName]
-		base := idx * lanes
-		if base < 0 || base+lanes > int64(buf.Len()) {
+		if !inBounds(idx, lanes, int64(buf.Len())) {
 			w.fail("load out of bounds: %s[%d] (len %d)", s.PName, idx, buf.Len()/int(lanes))
 		}
 		if w.trace {
 			w.accesses = append(w.accesses, Access{
-				Param: int32(s.Index), Index: idx, Bytes: uint16(t.ElemSize()), Write: false,
+				Param: uint16(s.Index), Index: uint32(idx), Bytes: w.width(t), Write: false,
 			})
 		}
-		return readBuf(buf, base, lanes)
+		return readBuf(buf, idx*lanes, lanes)
 	case *ir.Alloca:
 		cells := w.cells(s)
-		base := idx * lanes
-		if base < 0 || base+lanes > int64(len(cells)) {
+		if !inBounds(idx, lanes, int64(len(cells))) {
 			w.fail("load out of bounds: %s[%d] (len %d)", s.AName, idx, int64(len(cells))/lanes)
 		}
+		base := idx * lanes
 		if lanes == 1 {
 			return cells[base]
 		}
@@ -435,23 +434,22 @@ func (w *wiState) storeElem(store ir.Storage, idx int64, v Val) {
 		buf := w.cfg.Buffers[s.PName]
 		t := s.Elem()
 		lanes := int64(t.Lanes())
-		base := idx * lanes
-		if base < 0 || base+lanes > int64(buf.Len()) {
+		if !inBounds(idx, lanes, int64(buf.Len())) {
 			w.fail("store out of bounds: %s[%d] (len %d)", s.PName, idx, buf.Len()/int(lanes))
 		}
 		if w.trace {
 			w.accesses = append(w.accesses, Access{
-				Param: int32(s.Index), Index: idx, Bytes: uint16(t.ElemSize()), Write: true,
+				Param: uint16(s.Index), Index: uint32(idx), Bytes: w.width(t), Write: true,
 			})
 		}
-		writeBuf(buf, base, lanes, v)
+		writeBuf(buf, idx*lanes, lanes, v)
 	case *ir.Alloca:
 		cells := w.cells(s)
 		lanes := int64(s.Elem.Lanes())
-		base := idx * lanes
-		if base < 0 || base+lanes > int64(len(cells)) {
+		if !inBounds(idx, lanes, int64(len(cells))) {
 			w.fail("store out of bounds: %s[%d] (len %d)", s.AName, idx, int64(len(cells))/lanes)
 		}
+		base := idx * lanes
 		if lanes == 1 {
 			cells[base] = v
 			return
@@ -462,6 +460,33 @@ func (w *wiState) storeElem(store ir.Storage, idx int64, v Val) {
 	default:
 		w.fail("unknown storage %T", store)
 	}
+}
+
+// inBounds reports whether element idx of lanes scalar cells lies in
+// storage of n cells: 0 ≤ idx and (idx+1)·lanes ≤ n, tested without the
+// product, which a huge idx would overflow into range. A recorded index
+// is therefore below n, and fits Access.Index (see MaxBufferLen).
+func inBounds(idx, lanes, n int64) bool { return idx >= 0 && idx < n/lanes }
+
+// width is Access.Bytes of an access to an element of type t; a type
+// wider than an Access holds fails the work-item (see accessWidth).
+func (w *wiState) width(t ast.Type) uint8 {
+	n, err := accessWidth(t)
+	if err != nil {
+		panic(execError{err})
+	}
+	return n
+}
+
+// accessWidth is Access.Bytes of an access to an element of type t. The
+// widest OpenCL element, double16 or long16, is 128 bytes; a wider type
+// cannot be traced.
+func accessWidth(t ast.Type) (uint8, error) {
+	n := t.ElemSize()
+	if n > math.MaxUint8 {
+		return 0, fmt.Errorf("interp: a %d-byte %s access is wider than a trace record holds", n, t)
+	}
+	return uint8(n), nil
 }
 
 // cells returns the backing storage of an alloca for this work-item
@@ -558,10 +583,10 @@ func (w *wiState) atomic(in *ir.Instr, idx int64, operand Val) Val {
 	// Record as one read + one write for the memory trace.
 	if w.trace {
 		if p, ok := in.Mem.(*ir.Param); ok {
-			prm, sz := int32(p.Index), uint16(p.Elem().ElemSize())
+			prm, sz := uint16(p.Index), w.width(p.Elem())
 			w.accesses = append(w.accesses,
-				Access{Param: prm, Index: idx, Bytes: sz, Write: false},
-				Access{Param: prm, Index: idx, Bytes: sz, Write: true})
+				Access{Param: prm, Index: uint32(idx), Bytes: sz, Write: false},
+				Access{Param: prm, Index: uint32(idx), Bytes: sz, Write: true})
 		}
 	}
 	w.storeElemNoTrace(in.Mem, idx, IntVal(nv))

@@ -8,3 +8,12 @@ func SetProfileStepLimitForTest(n int64) (restore func()) {
 	profStepLimit = n
 	return func() { profStepLimit = old }
 }
+
+// SetBufferLimitForTest lowers validateArgs's buffer-length limit so
+// tests reach the check without allocating MaxBufferLen elements. It
+// returns a restore function.
+func SetBufferLimitForTest(n int64) (restore func()) {
+	old := maxBufferLen
+	maxBufferLen = n
+	return func() { maxBufferLen = old }
+}

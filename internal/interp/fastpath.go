@@ -274,13 +274,14 @@ type planStep struct {
 
 // memStep is a memory step's pre-resolved target.
 type memStep struct {
-	prm   int32   // the traced parameter's index (param accesses)
-	bytes uint16  // traced bytes of the access
+	prm   uint16  // the traced parameter's index (param accesses)
+	bytes uint8   // traced bytes of the access
 	buf   *Buffer // bound buffer (param accesses)
 	cell  opSrc   // first cell of a tracked alloca (slot -1: untracked)
 	val   opSrc   // aStoreAllocaVal's value
 	n     int64   // scalar cells of the target
 	lanes int64   // element lanes of the access
+	elems int64   // whole elements of the access in the target: n / lanes
 }
 
 // Terminator kinds.
@@ -340,6 +341,7 @@ type planCompiler struct {
 	consts []constSlot
 	mems   []memStep // every memory step's target, allocated at once
 	srcs   []opSrc   // operand scratch
+	err    error     // the first step that cannot be compiled
 }
 
 type constSlot struct {
@@ -398,6 +400,9 @@ func newPlanExec(p *static.Plan, cfg *Config, nd NDRange) (*planExec, error) {
 			}
 			bp.steps = append(bp.steps, c.step(in))
 		}
+	}
+	if c.err != nil {
+		return nil, c.err
 	}
 	for _, n := range c.size {
 		if n > math.MaxInt32 {
@@ -591,9 +596,14 @@ func (c *planCompiler) memStep(in *ir.Instr, st *planStep) {
 		if in.Op != ir.OpLoad {
 			elem = s.Elem()
 		}
-		m.lanes, m.bytes = int64(elem.Lanes()), uint16(elem.ElemSize())
-		m.prm, m.buf = int32(s.Index), c.cfg.Buffers[s.PName]
+		bytes, err := accessWidth(elem)
+		if err != nil && c.err == nil {
+			c.err = err
+		}
+		m.lanes, m.bytes = int64(elem.Lanes()), bytes
+		m.prm, m.buf = uint16(s.Index), c.cfg.Buffers[s.PName]
 		m.n = int64(m.buf.Len())
+		m.elems = m.n / m.lanes
 		switch in.Op {
 		case ir.OpLoad:
 			st.act = aLoadParamVal
@@ -611,6 +621,7 @@ func (c *planCompiler) memStep(in *ir.Instr, st *planStep) {
 		}
 		m.lanes = int64(elem.Lanes())
 		m.n = s.Count * int64(s.Elem.Lanes())
+		m.elems = m.n / m.lanes
 		if cell, ok := c.cells[s]; ok {
 			m.cell = cell
 		}
@@ -739,13 +750,13 @@ func (x *planExec) runWI() error {
 				// traces and bounds-checks.
 				m := st.mem
 				idx := ints[st.a]
-				base := idx * m.lanes
-				if base < 0 || base+m.lanes > m.n {
+				if idx < 0 || idx >= m.elems { // inBounds, with n / lanes taken once
 					return outOfBounds(st, idx)
 				}
+				base := idx * m.lanes
 				switch st.act {
 				case aLoadParam:
-					x.accesses = append(x.accesses, Access{Param: m.prm, Index: idx, Bytes: m.bytes})
+					x.accesses = append(x.accesses, Access{Param: m.prm, Index: uint32(idx), Bytes: m.bytes})
 					if st.dst.slot >= 0 {
 						if st.dst.bank == bFlt {
 							flts[st.dst.slot] = loadFloat(m.buf, base)
@@ -754,7 +765,7 @@ func (x *planExec) runWI() error {
 						}
 					}
 				case aLoadParamVal:
-					x.accesses = append(x.accesses, Access{Param: m.prm, Index: idx, Bytes: m.bytes})
+					x.accesses = append(x.accesses, Access{Param: m.prm, Index: uint32(idx), Bytes: m.bytes})
 					if st.dst.slot >= 0 {
 						x.put(st.dst, readBuf(m.buf, base, m.lanes))
 					}
@@ -772,7 +783,7 @@ func (x *planExec) runWI() error {
 						x.put(st.dst, x.cellsVal(m.cell, base, m.lanes))
 					}
 				case aStoreParam:
-					x.accesses = append(x.accesses, Access{Param: m.prm, Index: idx, Bytes: m.bytes, Write: true})
+					x.accesses = append(x.accesses, Access{Param: m.prm, Index: uint32(idx), Bytes: m.bytes, Write: true})
 				case aStoreAlloca:
 					if m.cell.slot >= 0 {
 						at := int64(m.cell.slot) + base
@@ -793,8 +804,8 @@ func (x *planExec) runWI() error {
 					// read-modify-write pair, leave the cell alone — its
 					// value can only feed data computation.
 					x.accesses = append(x.accesses,
-						Access{Param: m.prm, Index: idx, Bytes: m.bytes, Write: false},
-						Access{Param: m.prm, Index: idx, Bytes: m.bytes, Write: true})
+						Access{Param: m.prm, Index: uint32(idx), Bytes: m.bytes, Write: false},
+						Access{Param: m.prm, Index: uint32(idx), Bytes: m.bytes, Write: true})
 				}
 			}
 		}

@@ -57,16 +57,36 @@ func (b *Buffer) Len() int {
 	return len(b.I)
 }
 
-// Access is one recorded global-memory access of a work-item: 16 bytes
-// holding no pointer, so a trace buffer costs the garbage collector
-// nothing to scan. Param names the buffer argument by its position,
-// the ir.Param.Index of the function that was profiled.
+// Access is one recorded global-memory access of a work-item: 8 bytes
+// holding no pointer, so a trace buffer is small and costs the garbage
+// collector nothing to scan. Param names the buffer argument by its
+// position, the ir.Param.Index of the function that was profiled.
+//
+// Every field holds every value a launch can record. An index is
+// recorded only once its bounds check has passed, so it is below its
+// buffer's length, which validateArgs holds to MaxBufferLen; Param is
+// below the parameter count, held to MaxParams; and the widest element,
+// double16 or long16, is 128 bytes (accessWidth checks it).
 type Access struct {
-	Index int64  // element index into the buffer (scalar slots)
-	Param int32  // the buffer argument's ir.Param.Index
-	Bytes uint16 // access width in bytes
+	Index uint32 // element index into the buffer, in accessed elements
+	Param uint16 // the buffer argument's ir.Param.Index
+	Bytes uint8  // access width in bytes
 	Write bool
 }
+
+// The launch limits that keep every trace record in an Access: a buffer
+// of at most MaxBufferLen scalar elements and a function of at most
+// MaxParams parameters. validateArgs rejects a launch beyond either
+// before anything executes.
+const (
+	MaxBufferLen = math.MaxUint32
+	MaxParams    = math.MaxUint16 + 1
+)
+
+// maxBufferLen is the buffer limit validateArgs applies: MaxBufferLen,
+// lowered by tests (export_test.go) to reach the check without
+// allocating 2^32 elements.
+var maxBufferLen int64 = MaxBufferLen
 
 // NDRange is the kernel launch geometry.
 type NDRange struct {
@@ -331,8 +351,13 @@ func execute(f *ir.Func, cfg *Config, sample groupSample, sink GroupSink) (*Prof
 // path: a buffer must agree with its parameter on float-ness, and a
 // scalar must fit its type (see fits). Every value the executors read
 // from a launch then fits its IR type, which the static executor's
-// typed banks rely on (see bankOf).
+// typed banks rely on (see bankOf). It also holds the launch to the
+// limits that keep its trace records in an Access: MaxParams parameters
+// and buffers of MaxBufferLen elements.
 func validateArgs(f *ir.Func, cfg *Config) error {
+	if len(f.Params) > MaxParams {
+		return fmt.Errorf("interp: %s has %d parameters, more than the %d a trace record can name", f.Name, len(f.Params), MaxParams)
+	}
 	for _, p := range f.Params {
 		if p.T.Ptr {
 			b := cfg.Buffers[p.PName]
@@ -341,6 +366,9 @@ func validateArgs(f *ir.Func, cfg *Config) error {
 			}
 			if b.Elem.Base.IsFloat() != p.Elem().Base.IsFloat() {
 				return fmt.Errorf("interp: buffer for parameter %s holds %s, not %s", p.PName, b.Elem.Base, p.Elem().Base)
+			}
+			if n := int64(b.Len()); n > maxBufferLen {
+				return fmt.Errorf("interp: buffer for parameter %s has %d elements, more than the %d a trace record can index", p.PName, n, maxBufferLen)
 			}
 			continue
 		}

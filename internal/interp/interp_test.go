@@ -358,18 +358,19 @@ __kernel void copy(__global const float* a, __global float* b) {
 		if k.Params[tr[0].Param].PName != "a" || k.Params[tr[1].Param].PName != "b" {
 			t.Errorf("wi %d: wrong buffers %s/%s", wi, k.Params[tr[0].Param].PName, k.Params[tr[1].Param].PName)
 		}
-		if tr[0].Index != int64(wi) {
+		if tr[0].Index != uint32(wi) {
 			t.Errorf("wi %d: index %d", wi, tr[0].Index)
 		}
 	}
 }
 
-// TestAccessRecordPointerFree pins the trace record's shape: 16 bytes
+// TestAccessRecordPointerFree pins the trace record's shape: 8 bytes
 // and no pointer, so trace buffers are small and the garbage collector
-// never scans them. A field that brings a pointer back fails it.
+// never scans them. A field that brings a pointer back, or widens the
+// record, fails it.
 func TestAccessRecordPointerFree(t *testing.T) {
-	if n := unsafe.Sizeof(Access{}); n != 16 {
-		t.Errorf("Access is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(Access{}); n != 8 {
+		t.Errorf("Access is %d bytes, want 8", n)
 	}
 	var holdsPointer func(reflect.Type) bool
 	holdsPointer = func(ty reflect.Type) bool {

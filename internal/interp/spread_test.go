@@ -30,7 +30,7 @@ func groupsRan(prof *Profile) map[int64]bool {
 	for _, wi := range prof.Traces {
 		for _, a := range wi {
 			if a.Write {
-				ran[a.Index/16] = true
+				ran[int64(a.Index)/16] = true
 			}
 		}
 	}

@@ -136,6 +136,10 @@ type sweepWorker struct {
 	barriers []int64
 	wis      []int
 	err      error
+	// first traces the first work-item of a chunk that has no buffer
+	// yet, which then sizes its own from that trace; reused for every
+	// such chunk of the sweep, and dropped with it.
+	first []Access
 }
 
 // sweepTask is one unit of a step: execute one chunk of the current
@@ -350,13 +354,18 @@ func (s *sweep) step(tasks []sweepTask) error {
 // execute runs one chunk of the current group on w's executor, sizing
 // the chunk's trace buffer from its first work-item's trace, and adds
 // every work-item's counts to the executed launch and to each other
-// launch that profiles it.
+// launch that profiles it. A chunk without a buffer traces its first
+// work-item into w.first, then allocates its buffer once and copies
+// that trace in, so no chunk buffer grows from nothing.
 func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
 	x := w.x
 	local := s.big.nd.Local
 	group := s.big.groups[s.cur]
 	x.group = group
 	x.accesses = c.acc[:0]
+	if c.acc == nil {
+		x.accesses = w.first[:0]
+	}
 	for li := c.lo; li < c.hi; li++ {
 		l := int64(li)
 		x.local = [3]int64{l % local[0], l / local[0] % local[1], l / (local[0] * local[1])}
@@ -367,7 +376,11 @@ func (s *sweep) execute(w *sweepWorker, c *sweepChunk) error {
 			return err
 		}
 		if li == c.lo {
-			if want := len(x.accesses) * (c.hi - c.lo); cap(x.accesses) < want {
+			want := len(x.accesses) * (c.hi - c.lo)
+			if c.acc == nil {
+				w.first = x.accesses
+			}
+			if c.acc == nil || cap(x.accesses) < want {
 				x.accesses = append(make([]Access, 0, want), x.accesses...)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bench"
 	"repro/internal/device"
@@ -265,4 +266,79 @@ func liveHeap() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
+}
+
+// TestSweepSizesEachChunkBufferOnce pins how a sweep sizes its chunk
+// trace buffers: a chunk that has none yet traces its first work-item
+// into its worker's reused buffer, then allocates its own once, at that
+// trace's length times its work-items. A kernel whose every work-item
+// traces the same 2,049 accesses runs 8 groups of 8 work-items on 2
+// workers, so 8 chunks of one work-item each. The sweep may allocate
+// the 8 chunk buffers, one grown buffer per worker and 64 KB besides;
+// a sweep that grew each chunk's first trace from nothing would
+// allocate 6 more grown buffers than that.
+func TestSweepSizesEachChunkBufferOnce(t *testing.T) {
+	const trace = 2049 // 2,048 reads and one write per work-item
+	k := &bench.Kernel{
+		Bench: "sweep", Name: "uniform", Fn: "k",
+		Source: `
+__kernel void k(__global const float* a, __global float* out, int n) {
+    int i = get_global_id(0);
+    float s = 0.0f;
+    for (int j = 0; j < n; j++) {
+        s += a[j];
+    }
+    out[i] = s;
+}`,
+		Global: [3]int64{64},
+		Bufs: []bench.Buf{
+			{Name: "a", Float: true, Len: trace - 1, Fill: bench.FillRamp},
+			{Name: "out", Float: true, Len: 64},
+		},
+		Scalars: map[string]int64{"n": trace - 1},
+	}
+	f := compileAt(t, k, 8)
+	cfg := k.Config(8)
+	var traces int
+	count := func(_ int, wis [][]interp.Access) {
+		for _, tr := range wis {
+			if len(tr) != trace {
+				t.Fatalf("a work-item traced %d accesses, want %d", len(tr), trace)
+			}
+			traces++
+		}
+	}
+	sweep := func(sink interp.GroupSink) {
+		if _, err := interp.ProfileSweep(f, cfg, [][3]int64{{8, 1, 1}}, 8, 2, []interp.GroupSink{sink}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep(count) // builds the static plan and checks the traces
+	if traces != 64 {
+		t.Fatalf("the sweep handed over %d traces, want 64", traces)
+	}
+
+	record := int(unsafe.Sizeof(interp.Access{}))
+	var grown []interp.Access
+	growth := allocated(func() {
+		for range trace {
+			grown = append(grown, interp.Access{})
+		}
+	})
+	limit := uint64(8*trace*record) + 2*growth + 64<<10
+	got := allocated(func() { sweep(nil) })
+	t.Logf("sweep allocated %d bytes: limit %d, growing one trace %d", got, limit, growth)
+	if got > limit {
+		t.Errorf("the sweep allocated %d bytes, more than %d: 8 chunk buffers of %d, 2 grown buffers of %d and 64 KB",
+			got, limit, trace*record, growth)
+	}
+}
+
+// allocated returns the bytes the process allocates while fn runs.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -91,7 +91,8 @@ func applyUnroll(f *ir.Func, freq map[*ir.Block]float64) map[*ir.Block]float64 {
 // Build schedules every block and computes the critical path. freq maps
 // blocks to executions per work-item; pass nil to derive it from static
 // trip hints. Each block's dependence graph is built once, for both its
-// list schedule and the ASAP times SMS and RecMII read.
+// list schedule and the ASAP times SMS and RecMII read, on one scratch
+// reused for every block.
 func Build(f *ir.Func, freq map[*ir.Block]float64, cfg *Config) *Graph {
 	f.EnsureLoops()
 	if freq == nil {
@@ -107,9 +108,10 @@ func Build(f *ir.Func, freq map[*ir.Block]float64, cfg *Config) *Graph {
 		length:       make([]int, f.BlockIDs()),
 		asap:         make([]int, f.InstrIDs()),
 	}
+	var s blockScratch
 	for _, b := range f.Blocks {
-		succ, pred := blockDFG(b.Instrs, cfg.Latency)
-		_, g.length[b.ID] = listSchedule(b.Instrs, succ, pred, cfg)
+		succ, pred := s.dfg(b.Instrs, cfg.Latency)
+		_, g.length[b.ID] = s.schedule(b.Instrs, succ, pred, cfg)
 		asapTimes(b.Instrs, pred, g.asap)
 	}
 

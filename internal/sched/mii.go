@@ -187,8 +187,9 @@ func recMII(f *ir.Func, cfg *Config, asap []int) int {
 	}
 	if asap == nil {
 		asap = make([]int, f.InstrIDs())
+		var s blockScratch
 		for _, b := range f.Blocks {
-			_, pred := blockDFG(b.Instrs, cfg.Latency)
+			_, pred := s.dfg(b.Instrs, cfg.Latency)
 			asapTimes(b.Instrs, pred, asap)
 		}
 	}

@@ -118,13 +118,59 @@ type dfgEdge struct {
 	delay int
 }
 
+// blockScratch holds the per-block tables of the dependence graph and
+// the list schedule. Build reuses one for every block of a schedule:
+// each table keeps its storage from block to block, truncated or
+// cleared, so a schedule allocates them about once instead of once per
+// block. What dfg and schedule return is valid until the next block.
+type blockScratch struct {
+	succ, pred [][]dfgEdge
+	pos        []int32
+	lastWrite  map[ir.Storage]int
+	readers    map[ir.Storage][]int
+
+	prio, order, ready, remaining, start, cand []int
+	scheduled                                  []bool
+	usage                                      [numResKinds][]int
+}
+
+// zeroed returns s resized to n zero elements, in s's own array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// edgeLists returns l resized to n empty edge lists, each keeping the
+// storage it had.
+func edgeLists(l [][]dfgEdge, n int) [][]dfgEdge {
+	if cap(l) < n {
+		l = append(l[:cap(l)], make([][]dfgEdge, n-cap(l))...)
+	}
+	l = l[:n]
+	for i := range l {
+		l[i] = l[i][:0]
+	}
+	return l
+}
+
 // blockDFG builds the intra-block dependence graph: def-use edges plus
 // memory-ordering edges on the same storage object, with barriers and
 // atomics acting as fences.
 func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]dfgEdge) {
+	return new(blockScratch).dfg(instrs, latOf)
+}
+
+// dfg is blockDFG on s's tables.
+func (s *blockScratch) dfg(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]dfgEdge) {
 	n := len(instrs)
-	succ := make([][]dfgEdge, n)
-	pred := make([][]dfgEdge, n)
+	succ := edgeLists(s.succ, n)
+	pred := edgeLists(s.pred, n)
+	s.succ, s.pred = succ, pred
 	add := func(from, to int) {
 		d := latOf(instrs[from])
 		if d < 1 {
@@ -144,7 +190,8 @@ func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]d
 		}
 		hi = max(hi, in.ID)
 	}
-	pos := make([]int32, hi-lo+1)
+	pos := zeroed(s.pos, hi-lo+1)
+	s.pos = pos
 	for i := range pos {
 		pos[i] = -1
 	}
@@ -162,8 +209,12 @@ func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]d
 	}
 
 	// Memory ordering: last writer / readers per storage.
-	lastWrite := map[ir.Storage]int{}
-	readers := map[ir.Storage][]int{}
+	if s.lastWrite == nil {
+		s.lastWrite, s.readers = map[ir.Storage]int{}, map[ir.Storage][]int{}
+	}
+	lastWrite, readers := s.lastWrite, s.readers
+	clear(lastWrite)
+	clear(readers)
 	lastFence := -1
 	for i, in := range instrs {
 		switch in.Op {
@@ -189,15 +240,15 @@ func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]d
 			readers[in.Mem] = nil
 		case ir.OpBarrier:
 			// Full fence: order against every prior memory op.
-			for s, w := range lastWrite {
+			for st, w := range lastWrite {
 				add(w, i)
-				delete(lastWrite, s)
+				delete(lastWrite, st)
 			}
-			for s, rs := range readers {
+			for st, rs := range readers {
 				for _, r := range rs {
 					add(r, i)
 				}
-				delete(readers, s)
+				delete(readers, st)
 			}
 			lastFence = i
 		}
@@ -208,8 +259,9 @@ func blockDFG(instrs []*ir.Instr, latOf func(*ir.Instr) int) ([][]dfgEdge, [][]d
 // ScheduleBlock returns the list-scheduled length of one basic block in
 // cycles.
 func ScheduleBlock(b *ir.Block, cfg *Config) int {
-	succ, pred := blockDFG(b.Instrs, cfg.Latency)
-	_, length := listSchedule(b.Instrs, succ, pred, cfg)
+	var s blockScratch
+	succ, pred := s.dfg(b.Instrs, cfg.Latency)
+	_, length := s.schedule(b.Instrs, succ, pred, cfg)
 	return length
 }
 
@@ -233,11 +285,17 @@ func asapTimes(instrs []*ir.Instr, pred [][]dfgEdge, at []int) {
 // succ/pred, and returns each instruction's start cycle and the
 // makespan.
 func listSchedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (start []int, length int) {
+	return new(blockScratch).schedule(instrs, succ, pred, cfg)
+}
+
+// schedule is listSchedule on s's tables.
+func (s *blockScratch) schedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (start []int, length int) {
 	res := cfg.Res.Sane()
 	n := len(instrs)
 
 	// Priority: longest path to any sink (classic critical-path).
-	prio := make([]int, n)
+	prio := zeroed(s.prio, n)
+	s.prio = prio
 	for i := n - 1; i >= 0; i-- {
 		best := cfg.Latency(instrs[i])
 		for _, e := range succ[i] {
@@ -250,7 +308,8 @@ func listSchedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (star
 
 	// Candidates are taken highest priority first, then lowest index:
 	// a fixed order, so sort once and filter it every cycle.
-	order := make([]int, n)
+	order := zeroed(s.order, n)
+	s.order = order
 	for i := range order {
 		order[i] = i
 	}
@@ -262,17 +321,21 @@ func listSchedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (star
 	})
 
 	// Earliest start from predecessors (updated as nodes are placed).
-	ready := make([]int, n) // earliest cycle by dependences
-	remaining := make([]int, n)
+	ready := zeroed(s.ready, n) // earliest cycle by dependences
+	remaining := zeroed(s.remaining, n)
 	for i := range instrs {
 		remaining[i] = len(pred[i])
 	}
-	scheduled := make([]bool, n)
-	start = make([]int, n)
-	cand := make([]int, 0, n)
+	scheduled := zeroed(s.scheduled, n)
+	start = zeroed(s.start, n)
+	cand := slices.Grow(s.cand[:0], n)
+	s.ready, s.remaining, s.scheduled, s.start = ready, remaining, scheduled, start
 
 	// Per-cycle resource usage by kind, grown on demand.
-	var usage [numResKinds][]int
+	usage := &s.usage
+	for k := range usage {
+		usage[k] = usage[k][:0]
+	}
 
 	placed := 0
 	cycle := 0
@@ -310,6 +373,7 @@ func listSchedule(instrs []*ir.Instr, succ, pred [][]dfgEdge, cfg *Config) (star
 		}
 		cycle++
 	}
+	s.cand = cand
 
 	for i, in := range instrs {
 		if end := start[i] + cfg.Latency(in); end > length {

@@ -20,8 +20,8 @@ func TestWGBurstsColumnMajor(t *testing.T) {
 	traces := make([][]interp.Access, 16)
 	for wi := range traces {
 		traces[wi] = []interp.Access{
-			{Param: int32(prm.Index), Index: int64(wi), Bytes: 4},
-			{Param: int32(prm.Index), Index: int64(64 + wi), Bytes: 4},
+			{Param: uint16(prm.Index), Index: uint32(wi), Bytes: 4},
+			{Param: uint16(prm.Index), Index: uint32(64 + wi), Bytes: 4},
 		}
 	}
 	groups := WGBursts(traces, 16, l, 64)
@@ -41,7 +41,7 @@ func TestGroupedCoalescingAcrossWorkItems(t *testing.T) {
 	prm := k.GlobalParams()[0]
 	traces := make([][]interp.Access, 16)
 	for wi := range traces {
-		traces[wi] = []interp.Access{{Param: int32(prm.Index), Index: int64(wi), Bytes: 4}}
+		traces[wi] = []interp.Access{{Param: uint16(prm.Index), Index: uint32(wi), Bytes: 4}}
 	}
 	perWI := ClassifyGrouped(traces, 1, l, p, 64)
 	grouped := ClassifyGrouped(traces, 16, l, p, 64)
@@ -60,7 +60,7 @@ func TestWGBurstsGrouping(t *testing.T) {
 	prm := k.GlobalParams()[0]
 	traces := make([][]interp.Access, 32)
 	for wi := range traces {
-		traces[wi] = []interp.Access{{Param: int32(prm.Index), Index: int64(wi), Bytes: 4}}
+		traces[wi] = []interp.Access{{Param: uint16(prm.Index), Index: uint32(wi), Bytes: 4}}
 	}
 	groups := WGBursts(traces, 16, l, 64)
 	if len(groups) != 2 {
@@ -81,8 +81,8 @@ func TestGroupedPatternCountsSumToBursts(t *testing.T) {
 	traces := make([][]interp.Access, 64)
 	for wi := range traces {
 		traces[wi] = []interp.Access{
-			{Param: int32(prm.Index), Index: int64(wi * 137 % 4096), Bytes: 4},
-			{Param: int32(prm.Index), Index: int64(wi), Bytes: 4, Write: true},
+			{Param: uint16(prm.Index), Index: uint32(wi * 137 % 4096), Bytes: 4},
+			{Param: uint16(prm.Index), Index: uint32(wi), Bytes: 4, Write: true},
 		}
 	}
 	c := ClassifyGrouped(traces, 64, l, p, 64)
@@ -103,10 +103,10 @@ func TestStreamRestartsAtOrdinalZero(t *testing.T) {
 	p := device.Virtex7().DRAM
 	l := NewLayout(k, map[string]int64{"a": 65536}, p)
 	prm := k.GlobalParams()[0]
-	group := func(first int64, write bool) [][]interp.Access {
+	group := func(first uint32, write bool) [][]interp.Access {
 		wis := make([][]interp.Access, 16)
 		for wi := range wis {
-			wis[wi] = []interp.Access{{Param: int32(prm.Index), Index: first + int64(wi)*64, Bytes: 4, Write: write}}
+			wis[wi] = []interp.Access{{Param: uint16(prm.Index), Index: first + uint32(wi)*64, Bytes: 4, Write: write}}
 		}
 		return wis
 	}

@@ -57,8 +57,8 @@ func NewLayout(f *ir.Func, counts map[string]int64, p device.DRAMParams) Layout 
 
 // base returns the base address of the buffer parameter prm, and false
 // when it has none.
-func (l Layout) base(prm int32) (int64, bool) {
-	if prm < 0 || int(prm) >= len(l.Base) || l.Base[prm] == noBase {
+func (l Layout) base(prm uint16) (int64, bool) {
+	if int(prm) >= len(l.Base) || l.Base[prm] == noBase {
 		return 0, false
 	}
 	return l.Base[prm], true
@@ -80,6 +80,8 @@ type Burst struct {
 // coalesce consecutive work-items' unit-stride accesses into 512-bit
 // bursts: the access count divides by f = unit size / data width (§3.4).
 // Accesses to a parameter without a base in the layout are skipped.
+// Byte offsets are taken in int64, so no product of a record's 32-bit
+// index and its width can wrap.
 func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) {
 	unit := int64(unitBytes)
 	maxLen := 0
@@ -88,7 +90,7 @@ func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) 
 	}
 	var (
 		open       bool // a run is in progress
-		runParam   int32
+		runParam   uint16
 		runWrite   bool
 		runBase    int64 // the layout base of the run's buffer
 		start, end int64 // the run's byte range
@@ -100,7 +102,7 @@ func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) 
 			}
 			a := &tr[k]
 			if open && a.Param == runParam && a.Write == runWrite &&
-				runBase+a.Index*int64(a.Bytes) == end {
+				runBase+int64(a.Index)*int64(a.Bytes) == end {
 				end += int64(a.Bytes)
 				continue
 			}
@@ -113,7 +115,7 @@ func coalesce(wis [][]interp.Access, l Layout, unitBytes int, emit func(Burst)) 
 				continue
 			}
 			open, runParam, runWrite, runBase = true, a.Param, a.Write, base
-			start = base + a.Index*int64(a.Bytes)
+			start = base + int64(a.Index)*int64(a.Bytes)
 			end = start + int64(a.Bytes)
 		}
 	}

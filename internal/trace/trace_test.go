@@ -84,14 +84,14 @@ __kernel void k(int n, __local float* tmp, __constant float* c, __global float* 
 	if err != nil {
 		t.Fatal(err)
 	}
-	perParam := map[int32]int{}
+	perParam := map[uint16]int{}
 	for _, tr := range prof.Traces {
 		for _, a := range tr {
 			perParam[a.Param]++
 		}
 	}
 	// Each work-item writes and reads tmp once, reads c and writes a.
-	if want := map[int32]int{1: 2 * wg, 2: wg, 3: wg}; len(perParam) != len(want) ||
+	if want := map[uint16]int{1: 2 * wg, 2: wg, 3: wg}; len(perParam) != len(want) ||
 		perParam[1] != want[1] || perParam[2] != want[2] || perParam[3] != want[3] {
 		t.Fatalf("accesses per parameter = %v, want %v", perParam, want)
 	}
@@ -129,7 +129,7 @@ __kernel void k(__global float* a) { a[get_global_id(0)] = 1.0f; }`, "k")
 	// One WI writing 16 consecutive floats = 64 bytes = 1 burst.
 	var accs []interp.Access
 	for i := 0; i < 16; i++ {
-		accs = append(accs, interp.Access{Param: int32(prm.Index), Index: int64(i), Bytes: 4, Write: true})
+		accs = append(accs, interp.Access{Param: uint16(prm.Index), Index: uint32(i), Bytes: 4, Write: true})
 	}
 	bursts := oneWIBursts(t, accs, l)
 	if len(bursts) != 1 {
@@ -147,9 +147,9 @@ __kernel void k(__global float* a) { a[0] = a[1]; }`, "k")
 	l := NewLayout(k, map[string]int64{"a": 64}, p)
 	prm := k.GlobalParams()[0]
 	accs := []interp.Access{
-		{Param: int32(prm.Index), Index: 0, Bytes: 4, Write: false},
-		{Param: int32(prm.Index), Index: 1, Bytes: 4, Write: true}, // direction flips
-		{Param: int32(prm.Index), Index: 2, Bytes: 4, Write: false},
+		{Param: uint16(prm.Index), Index: 0, Bytes: 4, Write: false},
+		{Param: uint16(prm.Index), Index: 1, Bytes: 4, Write: true}, // direction flips
+		{Param: uint16(prm.Index), Index: 2, Bytes: 4, Write: false},
 	}
 	bursts := oneWIBursts(t, accs, l)
 	if len(bursts) != 3 {
@@ -166,7 +166,7 @@ __kernel void k(__global float* a) { a[0] = 0.0f; }`, "k")
 	// Stride-32 floats: 128-byte gaps, no coalescing.
 	var accs []interp.Access
 	for i := 0; i < 8; i++ {
-		accs = append(accs, interp.Access{Param: int32(prm.Index), Index: int64(i * 32), Bytes: 4, Write: false})
+		accs = append(accs, interp.Access{Param: uint16(prm.Index), Index: uint32(i * 32), Bytes: 4, Write: false})
 	}
 	bursts := oneWIBursts(t, accs, l)
 	if len(bursts) != 8 {
